@@ -19,7 +19,7 @@ from .errors import (
 from .gamefile import parse_game, serialize_game
 from .grab_or_give import reduce_grab_or_give, solve_grab_or_give
 from .kgrab_dfs import solve_kgrab_dfs
-from .kgrab_ovpp import minimum_grabs, solve_kgrab_ovpp, winning_nontrivially
+from .kgrab_ovpp import minimum_grabs, solve_kgrab_ovpp
 from .lockkey import (
     LockConfig,
     LockKeyGame,
@@ -52,7 +52,7 @@ from .oracle import (
 from .turnbased import (
     SolveResult,
     TurnBasedGame,
-    attractor_levels,
+    attract,
     solve_turnbased,
 )
 
@@ -72,7 +72,7 @@ __all__ = [
     "SolverPreconditionError",
     "TurnBasedGame",
     "ValidationError",
-    "attractor_levels",
+    "attract",
     "classify",
     "expand_game",
     "expand_lockkey",
@@ -95,6 +95,5 @@ __all__ = [
     "structurally_equal",
     "tb_to_optional",
     "to_always_grabbing",
-    "winning_nontrivially",
     "witness_play",
 ]

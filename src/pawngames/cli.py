@@ -52,18 +52,23 @@ def _read(path: str) -> str:
 
 
 def _specialized(game, config):
-    """Dispatch to the matching polynomial solver; None when there is none."""
+    """Run the matching polynomial solver; None when there is none.
+
+    Returns the algorithm name, the winner and the solver's own witness
+    play (only the bounded search makes one, and only for Player 1).
+    """
     kind = classify(game)
     rule = game.mechanism.rule
     if rule is GrabRule.OPTIONAL and kind is OwnershipKind.OVPP:
-        return "alg1", lambda: solve_ovpp_optional(game, config).winner
+        return "alg1", solve_ovpp_optional(game, config).winner, None
     if (rule is GrabRule.GRAB_OR_GIVE and kind is not OwnershipKind.OMVPP
             and game.d >= 2):
-        return "grab-or-give", lambda: solve_grab_or_give(game, config)
+        return "grab-or-give", solve_grab_or_give(game, config), None
     if rule is GrabRule.K_GRABBING and kind is OwnershipKind.OVPP:
-        return "eta", lambda: solve_kgrab_ovpp(game, config)
+        return "eta", solve_kgrab_ovpp(game, config), None
     if rule is GrabRule.K_GRABBING:
-        return "kgrab-dfs", lambda: solve_kgrab_dfs(game, config).winner
+        result = solve_kgrab_dfs(game, config)
+        return "kgrab-dfs", result.winner, result.witness
     return None
 
 
@@ -85,12 +90,9 @@ def cmd_solve(args) -> int:
     witness_steps = None
 
     if args.algo in ("auto", "specialized"):
-        dispatch = _specialized(game, config)
-        if dispatch is not None:
-            algo, run = dispatch
-            winner = run()
-            if algo == "kgrab-dfs" and args.witness and winner == 1:
-                witness_steps = solve_kgrab_dfs(game, config).witness
+        solved = _specialized(game, config)
+        if solved is not None:
+            algo, winner, witness_steps = solved
         elif args.algo == "specialized":
             raise SolverPreconditionError(
                 f"no specialized solver for {classify(game).value} "

@@ -3,7 +3,7 @@
 Relative to a fixed initial pawn set, ``minimum_grabs`` labels every vertex
 with the least number of grabs Player 1 needs to win from it.
 
-The default construction works on a small product game over states
+The construction works on a small product game over states
 ``(vertex, controls-current-vertex, grabs-left)``.  Grabs can be normalized
 to always take the pawn of the vertex the token just moved to: deferring a
 grab to the arrival moment never hurts, and a pawn grabbed at an earlier
@@ -11,12 +11,6 @@ visit can be re-grabbed on demand within the same budget, so the product
 game decides exactly the configurations ``(v, P0, r)``.  One attractor
 computation over the product (about ``4 * |V|**2`` states) yields every
 label at once.
-
-Two coarser level-by-level variants are kept behind a flag for
-differential testing.  Both grow the region by one grab per level through
-its border; they miss wins that must spend a grab to break an opponent's
-stalling loop away from the border (see ``variant`` below), which the
-oracle cross-checks expose.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from .model import (
     classify,
     validate_configuration,
 )
-from .turnbased import TurnBasedGame, solve_turnbased
+from .turnbased import attract
 
 
 @dataclass(frozen=True)
@@ -44,34 +38,6 @@ class MinGrabMap:
 
     def __getitem__(self, v: int) -> float:
         return self.eta[v]
-
-
-def winning_nontrivially(tb: TurnBasedGame, border: frozenset[int]) -> frozenset[int]:
-    """Vertices from which Player 1 forces a non-trivial visit to the targets.
-
-    ``tb``'s targets must be the border plus the previously won region; a
-    play is non-trivial when it makes at least one move.  Border vertices are
-    judged through an edge-stripped copy so that sitting on a target does
-    not count as winning.
-    """
-    region_part = tb.targets - border
-    n = tb.n
-    copy_id = {u: n + i for i, u in enumerate(sorted(border))}
-    succ: list[tuple[int, ...]] = list(tb.succ)
-    for u in sorted(border):
-        succ.append(tuple(v for v in tb.succ[u] if v not in region_part))
-    p1 = set(tb.p1_vertices)
-    p1 |= {copy_id[u] for u in border if u in tb.p1_vertices}
-    stripped = TurnBasedGame(
-        n=n + len(border),
-        p1_vertices=frozenset(p1),
-        succ=tuple(succ),
-        targets=tb.targets,
-    )
-    won = solve_turnbased(stripped).region
-    result = {u for u in range(n) if u not in border and u in won}
-    result |= {u for u in border if copy_id[u] in won}
-    return frozenset(result)
 
 
 def _vertex_control(g: PawnGame, p0_pawns: frozenset[int]) -> frozenset[int]:
@@ -94,110 +60,41 @@ def _eta_product(g: PawnGame, base: frozenset[int]) -> list[float]:
 
     total = 2 * offset
     succ: list[list[int]] = [[] for _ in range(total)]
-    p1: set[int] = set()
-    targets: set[int] = set()
+    side = [2] * total
+    target = [False] * total
     for v in range(n):
         for r in range(cap + 1):
             for c in (0, 1):
                 sid = config(v, c, r)
                 if c == 1:
-                    p1.add(sid)
-                if v in g.targets:
-                    targets.add(sid)
+                    side[sid] = 1
+                target[sid] = v in g.targets
                 for u in g.succ[v]:
                     c0 = c if u == v else (1 if u in base else 0)
                     succ[sid].append(inter(u, c0, r))
             for c0 in (0, 1):
                 iid = inter(v, c0, r)
-                p1.add(iid)  # the grab decision is always Player 1's
+                side[iid] = 1  # the grab decision is always Player 1's
                 succ[iid].append(config(v, c0, r))
                 if c0 == 0 and r > 0:
                     succ[iid].append(config(v, 1, r - 1))
 
-    product = TurnBasedGame(
-        n=total,
-        p1_vertices=frozenset(p1),
-        succ=tuple(tuple(s) for s in succ),
-        targets=frozenset(targets),
-    )
-    region = solve_turnbased(product).region
+    in_region, _ = attract(succ, side, target)
     eta: list[float] = []
     for v in range(n):
         c = 1 if v in base else 0
-        wins = [r for r in range(cap + 1) if config(v, c, r) in region]
+        wins = [r for r in range(cap + 1) if in_region[config(v, c, r)]]
         eta.append(min(wins) if wins else math.inf)
     return eta
 
 
-def _eta_border_levels(
-    g: PawnGame, base: frozenset[int], nontrivial: bool
-) -> list[float]:
-    """Level-by-level labels: one border grab per level.
-
-    With ``nontrivial`` the next level holds the vertices from which Player
-    1 forces a non-trivial grab-free visit to the border; without it the
-    border is simply re-solved as a target set.  Both under-approximate the
-    true winning sets (stall-breaking grabs are invisible to them); they
-    are retained for differential testing only.
-    """
-    eta: list[float] = [math.inf] * g.n
-    region = set(
-        solve_turnbased(
-            TurnBasedGame(g.n, base, g.succ, frozenset(g.targets))
-        ).region
-    )
-    for v in region:
-        eta[v] = 0
-
-    level = 0
-    while True:
-        border = frozenset(
-            u
-            for u in range(g.n)
-            if u not in region and any(v in region for v in g.succ[u])
-        )
-        if not border:
-            break
-        if border & base:
-            raise AssertionError("border vertices must all be Player 2's")
-        if nontrivial:
-            staged = TurnBasedGame(g.n, base, g.succ, border | frozenset(region))
-            new = set(winning_nontrivially(staged, border)) - region
-        else:
-            staged = TurnBasedGame(g.n, base, g.succ, border)
-            new = set(solve_turnbased(staged).region) - region
-        if not new:
-            break
-        level += 1
-        for u in new:
-            eta[u] = level
-        region |= new
-    return eta
-
-
-def minimum_grabs(
-    g: PawnGame, p0_pawns: frozenset[int], variant: str = "exact"
-) -> MinGrabMap:
-    """Least number of grabs Player 1 needs from each vertex, given ``p0_pawns``.
-
-    ``variant`` selects the construction: ``exact`` (default, the product
-    game), ``border-levels`` (level rule with the non-triviality check) or
-    ``border-resolve`` (plain re-solve with the border as targets).
-    """
+def minimum_grabs(g: PawnGame, p0_pawns: frozenset[int]) -> MinGrabMap:
+    """Least number of grabs Player 1 needs from each vertex, given ``p0_pawns``."""
     if g.mechanism.rule is not GrabRule.K_GRABBING:
         raise SolverPreconditionError("minimum grabs are defined for k-grabbing")
     if classify(g) is not OwnershipKind.OVPP:
         raise SolverPreconditionError("minimum grabs need one vertex per pawn")
-    base = _vertex_control(g, p0_pawns)
-    if variant == "exact":
-        eta = _eta_product(g, base)
-    elif variant == "border-levels":
-        eta = _eta_border_levels(g, base, nontrivial=True)
-    elif variant == "border-resolve":
-        eta = _eta_border_levels(g, base, nontrivial=False)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return MinGrabMap(tuple(eta))
+    return MinGrabMap(tuple(_eta_product(g, _vertex_control(g, p0_pawns))))
 
 
 def solve_kgrab_ovpp(g: PawnGame, c: Configuration) -> int:

@@ -412,7 +412,9 @@ def lockkey_to_optional(lk: LockKeyGame, lc: LockConfig):
     first, then keys, in lock-id order), entered from the plain source and
     exiting into the destination's primed relay.  Copies of one lock's
     gadgets share their colored pawns.  The initial pawn set realizes the
-    skeleton invariant plus every lock's state from ``lc``.
+    skeleton invariant plus every lock's state from ``lc``.  A Player-2
+    vertex with no out-edge also gets an edge to the sink, where she
+    survives as she does at a dead end of ``expand_lockkey``.
 
     Returns the game, its initial configuration and the embedding record.
     """
@@ -427,8 +429,11 @@ def lockkey_to_optional(lk: LockKeyGame, lc: LockConfig):
         primed[v], primed_pawn[v] = b.add_fresh_vertex(lk.names[v] + ".p")
         b.add_edge(primed[v], plain[v])
     sink, goal = reg.ensure_sink_goal()
+    sources = {x for x, _ in lk.edges}
     for v in range(lk.n):
         b.add_edge(plain[v], sink if v in lk.p1_vertices else goal)
+        if v not in lk.p1_vertices and v not in sources:
+            b.add_edge(plain[v], sink)
         if v in lk.targets:
             b.targets.add(plain[v])
 

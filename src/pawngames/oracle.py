@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ValidationError
 from .model import Configuration, GrabRule, PawnGame, validate_configuration
-from .turnbased import TurnBasedGame
+from .turnbased import TurnBasedGame, attract
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -257,57 +257,6 @@ def _expand(
     return sg, root_ids
 
 
-def _attract_arrays(sg: _StateGraph) -> tuple[list[bool], list[int]]:
-    """Attractor over the state graph; returns membership and entry stage."""
-    n = len(sg)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    remaining = [0] * n
-    for v in range(n):
-        remaining[v] = len(sg.succ[v])
-        for u in sg.succ[v]:
-            pred[u].append(v)
-
-    in_region = [False] * n
-    level = [-1] * n
-    frontier = []
-    for v in range(n):
-        if sg.target[v]:
-            in_region[v] = True
-            level[v] = 0
-            frontier.append(v)
-    deadends = [
-        v
-        for v in range(n)
-        if not in_region[v] and sg.side[v] == 2 and remaining[v] == 0
-    ]
-
-    stage = 0
-    while frontier or deadends:
-        stage += 1
-        nxt = []
-        for v in deadends:
-            in_region[v] = True
-            level[v] = stage
-            nxt.append(v)
-        deadends = []
-        for v in frontier:
-            for u in pred[v]:
-                if in_region[u]:
-                    continue
-                if sg.side[u] == 1:
-                    in_region[u] = True
-                    level[u] = stage
-                    nxt.append(u)
-                else:
-                    remaining[u] -= 1
-                    if remaining[u] == 0:
-                        in_region[u] = True
-                        level[u] = stage
-                        nxt.append(u)
-        frontier = nxt
-    return in_region, level
-
-
 @dataclass
 class ExplicitResult:
     """Winner plus enough of the solved expansion to replay a witness."""
@@ -332,7 +281,7 @@ def solve_explicit(
     r = c.grabs_left if c.grabs_left is not None else _NO_R
     sg, roots = _expand(g, [(c.vertex, pmask, r)], budget,
                         prune_hopeless=True, terminal_targets=True)
-    in_region, level = _attract_arrays(sg)
+    in_region, level = attract(sg.succ, sg.side, sg.target)
     winner = 1 if in_region[roots[0]] else 2
     return ExplicitResult(winner, len(sg), sg, roots[0], in_region, level)
 
@@ -355,7 +304,7 @@ class AllConfigurations:
         ]
         sg, ids = _expand(g, roots, budget,
                           prune_hopeless=True, terminal_targets=True)
-        in_region, _ = _attract_arrays(sg)
+        in_region, _ = attract(sg.succ, sg.side, sg.target)
         self._win: dict[tuple[int, int, int], bool] = {}
         for (v, p, r), sid in zip(roots, ids):
             self._win[(v, p, r)] = in_region[sid]

@@ -1,4 +1,4 @@
-"""Turn-based reachability games: attractor levels, regions, strategies.
+"""Turn-based reachability games: the attractor, regions, strategies.
 
 Vertices are split between the players; Player 1 tries to reach the target
 set, Player 2 tries to avoid it forever.  Dead ends are permitted and follow
@@ -6,10 +6,15 @@ the literal attractor rule: a Player-2 dead end outside the targets is
 Player-1-winning (the universal condition holds vacuously), a Player-1 dead
 end is Player-2-winning.  Layers that need "stuck means the play ends"
 semantics insert self-loops before calling in here.
+
+``attract`` is the package's one attractor kernel: ``solve_turnbased``
+runs it on a ``TurnBasedGame`` and the explicit oracle runs it directly on
+its configuration graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -38,73 +43,76 @@ class TurnBasedGame:
 class SolveResult:
     """Winning region of Player 1 with witnesses for both players.
 
-    ``levels`` is the monotone chain of attractor stages starting at the
-    target set; ``level`` maps each region vertex to the stage it entered.
-    ``p1_strategy`` maps Player-1 region vertices to a successor one stage
-    down; ``p2_strategy`` keeps Player-2 vertices outside the region.
+    ``level`` maps each region vertex to the attractor stage it entered
+    (targets are stage 0).  ``p1_strategy`` maps Player-1 region vertices
+    to a successor one stage down; ``p2_strategy`` keeps Player-2 vertices
+    outside the region.
     """
 
     region: frozenset[int]
-    levels: tuple[frozenset[int], ...]
     level: dict[int, int]
     p1_strategy: dict[int, int]
     p2_strategy: dict[int, int]
 
 
-def attractor_levels(tb: TurnBasedGame) -> list[frozenset[int]]:
-    """The stages W_0 = T, W_{i+1} = W_i + forced vertices, to fixed point.
+def attract(
+    succ: Sequence[Sequence[int]], side: Sequence[int], target: Sequence[bool]
+) -> tuple[list[bool], list[int]]:
+    """Player 1's attractor to the targets, with each vertex's entry stage.
 
-    Runs in time linear in the number of vertices plus edges.
+    ``side[v] == 1`` means Player 1 moves at ``v``, anything else Player 2.
+    Returns region membership and the stage at which each vertex entered
+    (targets 0, Player-2 dead ends outside the targets 1, -1 outside the
+    region).  Backward counting over predecessor lists, so the running time
+    is linear in the number of vertices plus edges.
     """
-    return _attract(tb)[0]
-
-
-def _attract(tb: TurnBasedGame) -> tuple[list[frozenset[int]], dict[int, int]]:
-    pred: list[list[int]] = [[] for _ in range(tb.n)]
-    out_count = [0] * tb.n
-    for v, out in enumerate(tb.succ):
-        out_count[v] = len(out)
-        for u in out:
+    n = len(succ)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    remaining = [0] * n
+    for v in range(n):
+        remaining[v] = len(succ[v])
+        for u in succ[v]:
             pred[u].append(v)
 
-    level = {v: 0 for v in tb.targets}
-    # Player-2 dead ends outside T are forced into the region at stage 1
-    frontier = sorted(tb.targets)
-    remaining = out_count[:]
-    stages = [frozenset(tb.targets)]
-    in_region = set(tb.targets)
-    pending_deadends = [
+    in_region = [False] * n
+    level = [-1] * n
+    frontier = []
+    for v in range(n):
+        if target[v]:
+            in_region[v] = True
+            level[v] = 0
+            frontier.append(v)
+    deadends = [
         v
-        for v in range(tb.n)
-        if v not in tb.p1_vertices and out_count[v] == 0 and v not in in_region
+        for v in range(n)
+        if not in_region[v] and side[v] != 1 and remaining[v] == 0
     ]
 
     stage = 0
-    while frontier or pending_deadends:
+    while frontier or deadends:
         stage += 1
-        nxt: list[int] = []
-        if pending_deadends:
-            nxt.extend(pending_deadends)
-            pending_deadends = []
+        nxt = []
+        for v in deadends:
+            in_region[v] = True
+            level[v] = stage
+            nxt.append(v)
+        deadends = []
         for v in frontier:
             for u in pred[v]:
-                if u in in_region:
+                if in_region[u]:
                     continue
-                if u in tb.p1_vertices:
+                if side[u] == 1:
+                    in_region[u] = True
+                    level[u] = stage
                     nxt.append(u)
-                    in_region.add(u)
                 else:
                     remaining[u] -= 1
                     if remaining[u] == 0:
+                        in_region[u] = True
+                        level[u] = stage
                         nxt.append(u)
-                        in_region.add(u)
-        nxt = [v for v in nxt if level.setdefault(v, stage) == stage]
-        in_region.update(nxt)
-        if not nxt:
-            break
-        stages.append(frozenset(stages[-1] | set(nxt)))
         frontier = nxt
-    return stages, level
+    return in_region, level
 
 
 def solve_turnbased(tb: TurnBasedGame) -> SolveResult:
@@ -113,26 +121,30 @@ def solve_turnbased(tb: TurnBasedGame) -> SolveResult:
     Player 1's strategy steps to the lowest-numbered successor in the lowest
     attractor stage, so witnesses are deterministic across runs.
     """
-    stages, level = _attract(tb)
-    region = stages[-1]
+    side = [2] * tb.n
+    for v in tb.p1_vertices:
+        side[v] = 1
+    target = [False] * tb.n
+    for v in tb.targets:
+        target[v] = True
+    in_region, stage = attract(tb.succ, side, target)
+    region = frozenset(v for v in range(tb.n) if in_region[v])
+    level = {v: stage[v] for v in region}
 
     p1_strategy: dict[int, int] = {}
-    for v in tb.p1_vertices & region:
-        options = [u for u in tb.succ[v] if u in region]
-        if options:
-            p1_strategy[v] = min(options, key=lambda u: (level[u], u))
-
     p2_strategy: dict[int, int] = {}
     for v in range(tb.n):
-        if v in tb.p1_vertices or v in region:
-            continue
-        options = [u for u in tb.succ[v] if u not in region]
-        if options:
-            p2_strategy[v] = min(options)
+        if side[v] == 1 and in_region[v]:
+            options = [u for u in tb.succ[v] if in_region[u]]
+            if options:
+                p1_strategy[v] = min(options, key=lambda u: (stage[u], u))
+        elif side[v] == 2 and not in_region[v]:
+            options = [u for u in tb.succ[v] if not in_region[u]]
+            if options:
+                p2_strategy[v] = min(options)
 
     return SolveResult(
         region=region,
-        levels=tuple(stages),
         level=level,
         p1_strategy=p1_strategy,
         p2_strategy=p2_strategy,

@@ -12,11 +12,9 @@ from pawngames import (
     Mechanism,
     OwnershipKind,
     SolverPreconditionError,
-    TurnBasedGame,
     minimum_grabs,
     parse_game,
     solve_kgrab_ovpp,
-    winning_nontrivially,
 )
 from pawngames.crossval import suite_eta
 from pawngames.generators import gen_random_pawngame
@@ -58,20 +56,10 @@ def test_chain_labels_match_oracle_over_budget_sweep():
             assert oracle.winner(v, config.p1_pawns, k) == expected
 
 
-def test_border_resolve_variant_overshoots_on_the_chain():
-    # the coarse re-solve rule labels u finite although the opponent can
-    # escape it before any grab opportunity; kept for differential testing
-    game, config = parse_game(CHAIN)
-    coarse = minimum_grabs(game, config.p1_pawns, variant="border-resolve")
-    exact = minimum_grabs(game, config.p1_pawns)
-    u = game.names.index("u")
-    assert coarse[u] == 1
-    assert exact[u] == math.inf
-
-
-def test_border_levels_variant_misses_stall_breaking_grabs():
+def test_stall_breaking_grabs_are_counted():
     # the opponent stalls on a self-loop; only grabbing the stalled vertex
-    # itself breaks the loop, which the border-level rule cannot see
+    # itself breaks the loop, which a rule growing the region one border
+    # grab per level cannot see
     text = """
 pawngame stall
 mechanism k-grabbing 2
@@ -89,9 +77,7 @@ init vertex=a p1pawns=
     game, config = parse_game(text)
     a = game.names.index("a")
     exact = minimum_grabs(game, config.p1_pawns)
-    levels = minimum_grabs(game, config.p1_pawns, variant="border-levels")
     assert exact[a] == 2
-    assert levels[a] == math.inf
     oracle = AllConfigurations(game)
     assert oracle.winner(a, frozenset(), 2) == 1
     assert oracle.winner(a, frozenset(), 1) == 2
@@ -104,38 +90,12 @@ def test_winner_queries_respect_the_budget():
     assert solve_kgrab_ovpp(game, Configuration(w, frozenset(), 0)) == 2
 
 
-def test_nontrivial_winning_examples():
-    # border vertex with an escape edge: the stripped copy loses
-    tb = TurnBasedGame(
-        n=3,
-        p1_vertices=frozenset(),
-        succ=((0,), (0, 2), (2,)),
-        targets=frozenset({0, 1}),  # region {0}, border {1}, escape 2
-    )
-    assert 1 not in winning_nontrivially(tb, frozenset({1}))
-
-    # border vertex whose every move stays on the border: forced arrival
-    tb2 = TurnBasedGame(
-        n=2,
-        p1_vertices=frozenset(),
-        succ=((1,), (0,)),
-        targets=frozenset({0, 1}),
-    )
-    won = winning_nontrivially(tb2, frozenset({0, 1}))
-    assert won == frozenset({0, 1})
-
-
 def test_rejects_wrong_class():
     game, config = gen_random_pawngame(
         4, 2, OwnershipKind.MVPP, Mechanism.k_grabbing(1), 8
     )
     with pytest.raises(SolverPreconditionError):
         minimum_grabs(game, config.p1_pawns)
-    with pytest.raises(ValueError):
-        ovpp, c = gen_random_pawngame(
-            3, 3, OwnershipKind.OVPP, Mechanism.k_grabbing(1), 9
-        )
-        minimum_grabs(ovpp, c.p1_pawns, variant="bogus")
 
 
 def test_labels_match_oracle_on_random_games():

@@ -23,8 +23,16 @@ from pawngames import (
 )
 from pawngames.crossval import suite_gadgets, suite_lemma41
 from pawngames.errors import BudgetExceededError
-from pawngames.generators import gen_random_lockkey, gen_random_turnbased
+from pawngames.generators import (
+    atm_accepts_bruteforce,
+    gen_atm_lockkey,
+    gen_random_atm,
+    gen_random_lockkey,
+    gen_random_turnbased,
+)
 from pawngames.lockkey import GadgetRegistry, PawnGameBuilder
+from pawngames.oracle import _NO_R, _expand
+from pawngames.turnbased import attract
 
 
 def chain_game(locks, keys, names=("a", "b", "t")):
@@ -243,6 +251,34 @@ def test_compiled_games_match_lockkey_winners():
         assert got == want, f"seed {4200 + i}"
         checked += 1
     assert checked >= 20
+
+
+# machines whose compiled game once forced a stuck Player 2 into the goal
+STUCK_OPPONENT_ATMS = {5, 7, 9, 11, 12, 16, 23, 24, 27, 35, 36, 52}
+
+
+def test_compiled_atm_chain_matches_machine_acceptance():
+    # the hardness chain end to end: machine -> Lock & Key -> optional
+    # grabbing, decided by the lazy oracle within a 100k-state budget
+    decided, stopped = set(), set()
+    for i in range(60):
+        atm, word = gen_random_atm(1 + i % 3, seed=i)
+        want = 1 if atm_accepts_bruteforce(atm, word) else 2
+        lk, lc = gen_atm_lockkey(atm, word)
+        assert solve_lockkey(lk, lc) == want, f"machine {i}"
+        game, config, _ = lockkey_to_optional(lk, lc)
+        root = (config.vertex, sum(1 << j for j in config.p1_pawns), _NO_R)
+        try:
+            sg, ids = _expand(game, [root], budget=100_000,
+                              prune_hopeless=True, terminal_targets=True)
+        except BudgetExceededError:
+            stopped.add(i)
+            continue
+        in_region, _ = attract(sg.succ, sg.side, sg.target)
+        assert (1 if in_region[ids[0]] else 2) == want, f"machine {i}"
+        decided.add(i)
+    assert len(stopped) == 15
+    assert STUCK_OPPONENT_ATMS <= decided
 
 
 def test_padding_arithmetic_on_a_three_pawn_game():

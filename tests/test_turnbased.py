@@ -5,14 +5,14 @@ from __future__ import annotations
 import random
 
 from bruteforce import bruteforce_region, p2_strategy_avoids, replay_p1_strategy
-from pawngames import TurnBasedGame, attractor_levels, solve_turnbased
+from pawngames import TurnBasedGame, solve_turnbased
 from pawngames.generators import gen_random_turnbased
 from pawngames.turnbased import parse_tbgame, serialize_tbgame
 
 
 def test_single_looping_target():
     tb = TurnBasedGame(1, frozenset({0}), ((0,),), frozenset({0}))
-    assert attractor_levels(tb) == [frozenset({0})]
+    assert solve_turnbased(tb).level == {0: 0}
 
 
 def test_forced_chain():
@@ -49,11 +49,11 @@ def test_region_matches_bruteforce_on_500_random_games():
 def test_levels_are_monotone_and_bounded():
     for i in range(100):
         tb = gen_random_turnbased(random.Random(i).randint(1, 9), 400 + i)
-        levels = attractor_levels(tb)
-        assert levels[0] == tb.targets
-        for a, b in zip(levels, levels[1:]):
-            assert a < b
-        assert len(levels) <= tb.n + 1
+        level = solve_turnbased(tb).level
+        assert {v for v, s in level.items() if s == 0} == tb.targets
+        top = max(level.values(), default=0)
+        assert set(level.values()) | {0} == set(range(top + 1))
+        assert top <= tb.n
 
 
 def test_strategies_are_winning_witnesses():
