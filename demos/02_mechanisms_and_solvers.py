@@ -61,7 +61,7 @@ print("search winner with 2 grabs from hub:", result.winner)
 print("certified play:", result.witness)
 
 # Always grabbing removes the option of declining an exchange.  Here the
-# explicit solver is the tool of choice; its full-space variant grades all
+# explicit solver is the tool of choice; its bit-parallel sweep grades all
 # configurations at once, which makes claims like "dropping pawns never
 # hurts, as long as you keep the one you stand on" cheap to check.
 always = build(Mechanism.always(), [(0,), (0,), (1,), (2,), (2,)])

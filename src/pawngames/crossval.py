@@ -228,7 +228,7 @@ def suite_lemma41(seed: int, count: int) -> list[str]:
         v0 = rng.randrange(n)
         want = 1 if v0 in solve_turnbased(tb).region else 2
         game, config = tb_to_optional(tb, v0)
-        got = solve_explicit(game, config).winner
+        got = AllConfigurations(game).winner(config.vertex, config.p1_pawns)
         if got != want:
             failures.append(_counterexample(
                 game, config,
@@ -323,7 +323,7 @@ def suite_gadgets(seed: int = 0, count: int = 0) -> list[str]:
     failures = []
     for note, parts, state, want in cases:
         game, config = _gadget_harness(parts, state)
-        got = solve_explicit(game, config).winner
+        got = AllConfigurations(game).winner(config.vertex, config.p1_pawns)
         if got != want:
             failures.append(_counterexample(
                 game, config, f"{note}: winner {got}, expected {want}"

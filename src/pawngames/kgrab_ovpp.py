@@ -9,8 +9,9 @@ to always take the pawn of the vertex the token just moved to: deferring a
 grab to the arrival moment never hurts, and a pawn grabbed at an earlier
 visit can be re-grabbed on demand within the same budget, so the product
 game decides exactly the configurations ``(v, P0, r)``.  One attractor
-computation over the product (about ``4 * |V|**2`` states) yields every
-label at once.
+computation over the product (about ``4 * |V| * (cap + 1)`` states, with
+the budget capped at ``|V|`` for the labels and at the grab budget for one
+winner query) yields every label at once.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ def _vertex_control(g: PawnGame, p0_pawns: frozenset[int]) -> frozenset[int]:
     return frozenset(vertex_of[j] for j in p0_pawns)
 
 
-def _eta_product(g: PawnGame, base: frozenset[int]) -> list[float]:
-    """Exact labels via the (vertex, control bit, budget) product game."""
+def _eta_product(g: PawnGame, base: frozenset[int], cap: int) -> list[float]:
+    """Exact labels up to ``cap`` via the (vertex, control bit, budget)
+    product game; a label above ``cap`` reads as inf.  Budget layer ``r``
+    reads only the layers up to ``r``, so a smaller cap changes no label
+    within it."""
     n = g.n
-    cap = n  # more than one local grab per vertex is never needed
 
     def config(v: int, c: int, r: int) -> int:
         return (v * 2 + c) * (cap + 1) + r
@@ -88,17 +91,25 @@ def _eta_product(g: PawnGame, base: frozenset[int]) -> list[float]:
     return eta
 
 
-def minimum_grabs(g: PawnGame, p0_pawns: frozenset[int]) -> MinGrabMap:
-    """Least number of grabs Player 1 needs from each vertex, given ``p0_pawns``."""
+def _require_ovpp_kgrab(g: PawnGame) -> None:
     if g.mechanism.rule is not GrabRule.K_GRABBING:
         raise SolverPreconditionError("minimum grabs are defined for k-grabbing")
     if classify(g) is not OwnershipKind.OVPP:
         raise SolverPreconditionError("minimum grabs need one vertex per pawn")
-    return MinGrabMap(tuple(_eta_product(g, _vertex_control(g, p0_pawns))))
+
+
+def minimum_grabs(g: PawnGame, p0_pawns: frozenset[int]) -> MinGrabMap:
+    """Least number of grabs Player 1 needs from each vertex, given ``p0_pawns``."""
+    _require_ovpp_kgrab(g)
+    # more than one local grab per vertex is never needed
+    eta = _eta_product(g, _vertex_control(g, p0_pawns), g.n)
+    return MinGrabMap(tuple(eta))
 
 
 def solve_kgrab_ovpp(g: PawnGame, c: Configuration) -> int:
     """Player 1 wins from ``c`` iff its grab budget covers the vertex's label."""
     validate_configuration(g, c)
-    grabs = minimum_grabs(g, c.p1_pawns)
-    return 1 if grabs[c.vertex] <= c.grabs_left else 2
+    _require_ovpp_kgrab(g)
+    cap = min(g.n, c.grabs_left)
+    eta = _eta_product(g, _vertex_control(g, c.p1_pawns), cap)
+    return 1 if eta[c.vertex] <= c.grabs_left else 2

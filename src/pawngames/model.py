@@ -113,11 +113,6 @@ class PawnGame:
             out[u].append(v)
         object.__setattr__(self, "succ", tuple(tuple(sorted(s)) for s in out))
 
-    def owner(self, v: int) -> int:
-        """The unique owner of ``v``; only meaningful for OVPP/MVPP games."""
-        (j,) = self.owners[v] if len(self.owners[v]) == 1 else (min(self.owners[v]),)
-        return j
-
 
 def _validate_game(g: PawnGame) -> None:
     if g.n <= 0:

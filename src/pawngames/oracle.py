@@ -1,19 +1,26 @@
-"""Reference solver: expand a pawn game into its explicit turn-based
-configuration graph and run attractor computation on it.
+"""Reference solvers: the explicit turn-based configuration graph of a pawn
+game, decided by attractor computation, and a bit-parallel sweep over every
+configuration at once.
 
-The expansion has two kinds of vertices.  A *configuration* vertex carries
-the token position and Player 1's pawn set (plus the remaining grab count
-under k-grabbing); an *intermediate* vertex represents the pending pawn
-exchange right after a token move.  Targets are exactly the configuration
-vertices whose token position is a target of the pawn game.
+Rooted queries (``solve_explicit``, ``expand_game``, ``witness_play``) are
+lazy.  The expansion has two kinds of vertices.  A *configuration* vertex
+carries the token position and Player 1's pawn set (plus the remaining grab
+count under k-grabbing); an *intermediate* vertex represents the pending
+pawn exchange right after a token move.  Targets are exactly the
+configuration vertices whose token position is a target of the pawn game.
+States are materialized by forward reachability from the root, guarded by
+an explicit node budget.  Exceeding the budget is an error, never a silent
+approximation.
 
-States are materialized lazily by forward reachability from the requested
-roots, guarded by an explicit node budget.  Exceeding the budget is an
-error, never a silent approximation.
+``AllConfigurations`` decides every configuration without building the
+graph: each vertex keeps one integer of ``2**d`` bits, one per pawn set,
+and the exchanges act on whole integers by shifts and masks.  It shares no
+code with the expansion or the attractor, so each can check the other.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ValidationError
@@ -35,20 +42,17 @@ def _owner_masks(g: PawnGame) -> list[int]:
     return masks
 
 
-def _estimate_states(g: PawnGame, c: Configuration | None) -> int:
+def _estimate_states(g: PawnGame, c: Configuration) -> int:
     from math import comb
 
     maxdeg = max(len(s) for s in g.succ)
     if g.mechanism.rule is GrabRule.K_GRABBING:
-        if c is None:
-            configs = g.n * (2 ** g.d) * (g.mechanism.k + 1)
-        else:
-            # pawn sets only grow from the initial one, one pawn per grab
-            free = g.d - len(c.p1_pawns)
-            r = c.grabs_left if c.grabs_left is not None else g.mechanism.k
-            configs = g.n * (r + 1) * sum(
-                comb(free, j) for j in range(min(r, free) + 1)
-            )
+        # pawn sets only grow from the initial one, one pawn per grab
+        free = g.d - len(c.p1_pawns)
+        r = c.grabs_left if c.grabs_left is not None else g.mechanism.k
+        configs = g.n * (r + 1) * sum(
+            comb(free, j) for j in range(min(r, free) + 1)
+        )
     else:
         configs = g.n * (2 ** g.d)
     return configs * (1 + maxdeg)
@@ -286,32 +290,132 @@ def solve_explicit(
     return ExplicitResult(winner, len(sg), sg, roots[0], in_region, level)
 
 
+def _pawn_masks(d: int) -> list[int]:
+    """``M_j`` for each pawn j: bit P is set iff pawn set P contains j."""
+    masks = []
+    for j in range(d):
+        s = 1 << j
+        # "s zeros, then s ones", doubled until it spans all 2**d sets
+        m, width = ((1 << s) - 1) << s, 2 * s
+        while width < 1 << d:
+            m |= m << width
+            width *= 2
+        masks.append(m)
+    return masks
+
+
 class AllConfigurations:
-    """Winner lookup for every configuration of a small pawn game."""
+    """Winner lookup for every configuration of a small pawn game.
+
+    ``_tables[r][v]`` has bit P set iff Player 1 wins from ``(v, P)``, with
+    ``r`` grabs left under k-grabbing (the other mechanisms have one
+    table).  The exchange after a move to ``u`` acts on the whole integer of
+    ``u`` as a gate: ``G1`` when Player 1 picks the exchange, ``G2`` when
+    Player 2 does.  Each table is the least fixpoint of
+    ``W_v = (mover_v & OR_u G2_u) | (~mover_v & AND_u G1_u)`` over the
+    successors ``u`` of ``v``, with ``W_v`` full on targets.  The grab-budget
+    layers are solved from 0 upward, since a grab reads only the layer below.
+    """
 
     def __init__(self, g: PawnGame, budget: int = DEFAULT_BUDGET):
         self.game = g
         rule = g.mechanism.rule
-        estimate = _estimate_states(g, None)
-        if estimate > budget:
-            raise BudgetExceededError(estimate, budget)
-        rs = range(g.mechanism.k + 1) if rule is GrabRule.K_GRABBING else [_NO_R]
-        roots = [
-            (v, p, r)
-            for v in range(g.n)
-            for p in range(1 << g.d)
-            for r in rs
-        ]
-        sg, ids = _expand(g, roots, budget,
-                          prune_hopeless=True, terminal_targets=True)
-        in_region, _ = attract(sg.succ, sg.side, sg.target)
-        self._win: dict[tuple[int, int, int], bool] = {}
-        for (v, p, r), sid in zip(roots, ids):
-            self._win[(v, p, r)] = in_region[sid]
+        layers = g.mechanism.k + 1 if rule is GrabRule.K_GRABBING else 1
+        size = g.n * (1 << g.d) * layers
+        if size > budget:
+            raise BudgetExceededError(size, budget)
+        full = (1 << (1 << g.d)) - 1
+        masks = _pawn_masks(g.d)
+        pawns = [(m, full ^ m, 1 << j) for j, m in enumerate(masks)]
+        mover = []
+        for owners in g.owners:
+            m = 0
+            for j in owners:
+                m |= masks[j]
+            mover.append(m)
+
+        def grab(w: int) -> int:
+            # bit P: P | {j} is won for some pawn j outside P
+            out = 0
+            for m, _, s in pawns:
+                out |= (w & m) >> s
+            return out
+
+        def take(w: int) -> int:
+            # bit P: P - {j} is won for every pawn j in P
+            out = full
+            for m, nm, s in pawns:
+                out &= ((w & nm) << s) | nm
+            return out
+
+        if rule is GrabRule.OPTIONAL:
+            def gate(v: int, w: int) -> tuple[int, int]:
+                return w | grab(w), w & take(w)
+        elif rule is GrabRule.ALWAYS:
+            def gate(v: int, w: int) -> tuple[int, int]:
+                return grab(w), take(w)
+        elif rule is GrabRule.GRAB_OR_GIVE:
+            def gate(v: int, w: int) -> tuple[int, int]:
+                g1, g2 = 0, full
+                for m, nm, s in pawns:
+                    flip = ((w & m) >> s) | ((w & nm) << s)
+                    g1 |= flip
+                    g2 &= flip
+                return g1, g2
+
+        self._tables: list[list[int]] = []
+        for _ in range(layers):
+            if rule is GrabRule.K_GRABBING:
+                # Player 1 decides every exchange: keep the budget, or grab
+                # a pawn and land in the layer below
+                below = ([grab(w) for w in self._tables[-1]]
+                         if self._tables else [0] * g.n)
+
+                def gate(v: int, w: int, below=below) -> tuple[int, int]:
+                    w |= below[v]
+                    return w, w
+            self._tables.append(_least_fixpoint(g, mover, full, gate))
 
     def winner(self, v: int, p1_pawns: frozenset[int], grabs_left: int | None = None) -> int:
-        r = grabs_left if grabs_left is not None else _NO_R
-        return 1 if self._win[(v, _mask(p1_pawns), r)] else 2
+        validate_configuration(self.game, Configuration(v, p1_pawns, grabs_left))
+        table = self._tables[grabs_left or 0]
+        return 1 if table[v] >> _mask(p1_pawns) & 1 else 2
+
+
+def _least_fixpoint(g: PawnGame, mover: list[int], full: int, gate) -> list[int]:
+    """One table of ``AllConfigurations``, raised from zero by a worklist.
+
+    The right-hand side is monotone, so every change adds bits and the
+    worklist stops at the least solution: Player 1's attractor.
+    """
+    targets = g.targets
+    pred: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if u not in targets:
+            pred[v].append(u)
+    win = [full if v in targets else 0 for v in range(g.n)]
+    gates = [gate(v, w) for v, w in enumerate(win)]
+    queued = [v not in targets for v in range(g.n)]
+    queue = deque(v for v in range(g.n) if queued[v])
+    succ = g.succ
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        some, every = 0, full
+        for u in succ[v]:
+            g1, g2 = gates[u]
+            some |= g2
+            every &= g1
+        m = mover[v]
+        w = (m & some) | (every & ~m)
+        if w != win[v]:
+            win[v] = w
+            gates[v] = gate(v, w)
+            for p in pred[v]:
+                if not queued[p]:
+                    queued[p] = True
+                    queue.append(p)
+    return win
 
 
 def _mask(pawns: frozenset[int]) -> int:

@@ -96,7 +96,24 @@ def test_rejects_wrong_class():
     )
     with pytest.raises(SolverPreconditionError):
         minimum_grabs(game, config.p1_pawns)
+    with pytest.raises(SolverPreconditionError):
+        solve_kgrab_ovpp(game, config)
 
 
 def test_labels_match_oracle_on_random_games():
     assert suite_eta(seed=41, count=80) == []
+
+
+def test_budget_capped_winner_query_matches_labels():
+    # solve_kgrab_ovpp sizes its product at the grab budget, minimum_grabs
+    # at n; every budget from 0 to n must give the same verdict
+    for seed in range(60):
+        n = 2 + seed % 6
+        game, config = gen_random_pawngame(
+            n, n, OwnershipKind.OVPP, Mechanism.k_grabbing(n), 5_000 + seed
+        )
+        grabs = minimum_grabs(game, config.p1_pawns)
+        for v in range(n):
+            for k in range(n + 1):
+                got = solve_kgrab_ovpp(game, Configuration(v, config.p1_pawns, k))
+                assert got == (1 if grabs[v] <= k else 2), (seed, v, k)

@@ -3,6 +3,7 @@ budget handling and the monotonicity properties it certifies."""
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -11,14 +12,20 @@ from pawngames import (
     AllConfigurations,
     BudgetExceededError,
     Configuration,
+    GrabRule,
     Mechanism,
     OwnershipKind,
+    ValidationError,
+    attract,
     expand_game,
     parse_game,
     solve_explicit,
+    solve_turnbased,
+    tb_to_optional,
     witness_play,
 )
-from pawngames.generators import gen_random_pawngame
+from pawngames.generators import gen_random_pawngame, gen_random_turnbased
+from pawngames.oracle import _NO_R, _expand, _unmask
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,3 +177,77 @@ def test_subset_monotonicity_can_fail_with_overlapping_owners():
         if found:
             break
     assert found, "expected at least one overlapping-ownership violation"
+
+
+MECHANISMS = (Mechanism.optional(), Mechanism.always(),
+              Mechanism.grab_or_give(), *map(Mechanism.k_grabbing, range(4)))
+
+
+def _sweep_games():
+    """Seeded small games over every mechanism, ownership kind and k <= 3."""
+    for seed in range(630):
+        mech = MECHANISMS[seed % len(MECHANISMS)]
+        kind = tuple(OwnershipKind)[seed // len(MECHANISMS) % 3]
+        n = 2 + seed % 6
+        d = {OwnershipKind.OVPP: n, OwnershipKind.MVPP: 1 + seed % (n - 1),
+             OwnershipKind.OMVPP: 2 + seed % 3}[kind]
+        yield gen_random_pawngame(n, d, kind, mech, 40_000 + seed)[0]
+
+
+def _grab_budgets(game):
+    if game.mechanism.rule is GrabRule.K_GRABBING:
+        return range(game.mechanism.k + 1)
+    return [None]
+
+
+def test_sweep_matches_the_unpruned_expansion_on_every_configuration():
+    checked = 0
+    for game in _sweep_games():
+        roots = [(v, p, _NO_R if r is None else r)
+                 for v in range(game.n) for p in range(1 << game.d)
+                 for r in _grab_budgets(game)]
+        sg, ids = _expand(game, roots, 10**6,
+                          prune_hopeless=False, terminal_targets=True)
+        in_region, _ = attract(sg.succ, sg.side, sg.target)
+        oracle = AllConfigurations(game)
+        for (v, p, r), sid in zip(roots, ids):
+            r = None if r == _NO_R else r
+            assert oracle.winner(v, _unmask(p), r) == (1 if in_region[sid] else 2), (
+                game.mechanism, game.owners, v, p, r)
+            checked += 1
+    assert checked > 140_000
+
+
+def test_rooted_lazy_path_matches_the_sweep():
+    rng = random.Random(11)
+    for game in _sweep_games():
+        oracle = AllConfigurations(game)
+        for _ in range(2):
+            v = rng.randrange(game.n)
+            pawns = frozenset(j for j in range(game.d) if rng.random() < 0.5)
+            r = rng.choice(list(_grab_budgets(game)))
+            want = oracle.winner(v, pawns, r)
+            assert solve_explicit(game, Configuration(v, pawns, r)).winner == want
+    for seed in range(100):
+        n = 2 + seed % 5
+        tb = gen_random_turnbased(n, 70_000 + seed)
+        v0 = seed % n
+        game, config = tb_to_optional(tb, v0)
+        want = 1 if v0 in solve_turnbased(tb).region else 2
+        assert solve_explicit(game, config).winner == want
+        assert AllConfigurations(game).winner(config.vertex, config.p1_pawns) == want
+
+
+def test_sweep_budget_and_grab_budget_lookups():
+    game, _ = gen_random_pawngame(
+        5, 3, OwnershipKind.OMVPP, Mechanism.k_grabbing(2), 3
+    )
+    size = 5 * 2 ** 3 * 3
+    with pytest.raises(BudgetExceededError) as err:
+        AllConfigurations(game, budget=size - 1)
+    assert (err.value.estimate, err.value.budget) == (size, size - 1)
+    oracle = AllConfigurations(game, budget=size)
+    assert oracle.winner(0, frozenset(), 2) in (1, 2)
+    for bad in (None, -1, 3):
+        with pytest.raises(ValidationError):
+            oracle.winner(0, frozenset(), bad)
