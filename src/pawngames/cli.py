@@ -22,7 +22,7 @@ from .errors import (
     SolverPreconditionError,
     ValidationError,
 )
-from .gamefile import parse_game, serialize_game
+from .gamefile import int_set, parse_game, serialize_game
 from .generators import (
     gen_atm_lockkey,
     gen_random_pawngame,
@@ -46,8 +46,9 @@ from .oracle import DEFAULT_BUDGET, expand_game, solve_explicit, witness_play
 from .turnbased import serialize_tbgame
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+def _read(path: str) -> bytes:
+    """File bytes; the parsers decode them, so bad UTF-8 is a format error."""
+    with open(path, "rb") as handle:
         return handle.read()
 
 
@@ -159,12 +160,8 @@ def cmd_reduce(args) -> int:
 
 
 def _parse_sets(text: str) -> list[frozenset[int]]:
-    sets = []
-    for part in text.split(";"):
-        part = part.strip()
-        sets.append(frozenset(int(x) for x in part.split(",")) if part
-                    else frozenset())
-    return sets
+    return [int_set("".join(part.split()), "set element", None)
+            for part in text.split(";")]
 
 
 def cmd_gen(args) -> int:

@@ -157,7 +157,7 @@ def suite_eta(seed: int, count: int) -> list[str]:
 
 
 def suite_dfs(seed: int, count: int) -> list[str]:
-    """Bounded search vs the oracle; witness validity; cap robustness."""
+    """Bounded search vs the oracle; witness validity."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
@@ -175,13 +175,7 @@ def suite_dfs(seed: int, count: int) -> list[str]:
             failures.append(_counterexample(
                 game, config, f"search winner {result.winner}, oracle {want}"
             ))
-            continue
-        deeper = solve_kgrab_dfs(game, config, extra_rounds=n)
-        if deeper.winner != result.winner:
-            failures.append(_counterexample(
-                game, config, "deepening the round cap flipped the answer"
-            ))
-        if result.winner == 1:
+        elif result.winner == 1:
             note = _check_witness(game, config, result.witness, result.rounds_cap)
             if note:
                 failures.append(_counterexample(game, config, note))

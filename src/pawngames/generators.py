@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GameFormatError, ValidationError
+from .gamefile import arity, directives, integer
 from .lockkey import LockConfig, LockKeyGame
 from .model import (
     Configuration,
@@ -56,6 +57,11 @@ class AtmSpec:
     trans: dict[tuple[str, str], tuple[tuple[str, str, str], ...]]
 
     def __post_init__(self):
+        if self.cells < 1:
+            raise ValidationError("the tape needs at least one cell")
+        for names in (self.states, self.alphabet):
+            if len(set(names)) != len(names):
+                raise ValidationError(f"names declared twice in {names}")
         for q in (self.accept, self.reject):
             if q not in self.states:
                 raise ValidationError(f"halting state {q!r} not declared")
@@ -78,8 +84,6 @@ class AtmSpec:
 def parse_atm(text: str | bytes) -> AtmSpec:
     """Parse the machine description format (``states``, ``alphabet``,
     ``accept``, ``reject``, ``cells`` and ``trans`` lines)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     states: list[str] = []
     owner: dict[str, int] = {}
     alphabet: list[str] = []
@@ -87,32 +91,27 @@ def parse_atm(text: str | bytes) -> AtmSpec:
     cells = None
     trans: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head, rest = tokens[0], tokens[1:]
+    for lineno, head, rest in directives(text):
         if head == "atm":
+            arity(rest, (0,), "atm takes no tokens", lineno)
             saw_header = True
         elif head == "states":
             for token in rest:
-                if ":" not in token:
+                q, _, tag = token.rpartition(":")
+                if not q or tag not in ("E", "A"):
                     raise GameFormatError(f"state needs :E or :A, got {token!r}",
                                           lineno)
-                q, tag = token.rsplit(":", 1)
-                if tag not in ("E", "A"):
-                    raise GameFormatError(f"bad owner tag {tag!r}", lineno)
                 states.append(q)
                 owner[q] = 1 if tag == "E" else 2
         elif head == "alphabet":
             alphabet = rest
         elif head == "accept":
-            accept = rest[0]
+            accept, = arity(rest, (1,), "accept takes one state", lineno)
         elif head == "reject":
-            reject = rest[0]
+            reject, = arity(rest, (1,), "reject takes one state", lineno)
         elif head == "cells":
-            cells = int(rest[0])
+            count, = arity(rest, (1,), "cells takes one count", lineno)
+            cells = integer(count, "cell count", lineno)
         elif head == "trans":
             if len(rest) != 6 or rest[2] != "->":
                 raise GameFormatError("trans q a -> q' b L|R", lineno)
@@ -306,6 +305,8 @@ def gen_setcover(
     is shared by all of that set's vertices.  A cover of size at most ``k``
     exists iff Player 1 wins with ``k`` grabs.
     """
+    if n < 1:
+        raise ValidationError("the universe needs at least one element")
     m = len(sets)
     for s in sets:
         for e in s:
@@ -401,13 +402,13 @@ def parse_qbf(formula: str) -> QbfSpec:
     while pos < len(text) and text[pos] in "EA":
         q = text[pos]
         pos += 1
-        if text[pos] != "x":
+        if not text.startswith("x", pos):
             raise GameFormatError(f"expected variable after {q}, in {formula!r}")
         pos += 1
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and text[pos].isdecimal():
             pos += 1
-        if start == pos or int(text[start:pos]) != len(quants) + 1:
+        if integer(text[start:pos], "variable", None) != len(quants) + 1:
             raise GameFormatError("variables must be x1, x2, ... in order")
         quants.append(q)
         if pos < len(text) and text[pos] == ".":
@@ -423,9 +424,9 @@ def parse_qbf(formula: str) -> QbfSpec:
         for lit in part[1:-1].split("|"):
             neg = lit.startswith("~")
             name = lit[1:] if neg else lit
-            if not name.startswith("x") or not name[1:].isdigit():
+            if not name.startswith("x"):
                 raise GameFormatError(f"bad literal {lit!r}")
-            var = int(name[1:])
+            var = integer(name[1:], f"literal {lit!r}", None)
             lits.add(-var if neg else var)
         clauses.append(frozenset(lits))
     return QbfSpec(tuple(quants), tuple(clauses))

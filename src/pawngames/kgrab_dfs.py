@@ -36,7 +36,6 @@ class _Search:
     game: PawnGame
     omask: list[int]
     grab_order: list[list[int]]
-    use_cache: bool = True
     win_rounds: dict[tuple[int, int, int], int] = field(default_factory=dict)
     fail_budget: dict[tuple[int, int, int], int] = field(default_factory=dict)
     nodes: int = 0
@@ -49,13 +48,12 @@ class _Search:
         if budget == 0:
             return None
         key = (v, pmask, r)
-        if self.use_cache:
-            cached = self.win_rounds.get(key)
-            if cached is not None and cached <= budget:
-                return cached
-            failed = self.fail_budget.get(key)
-            if failed is not None and budget <= failed:
-                return None
+        cached = self.win_rounds.get(key)
+        if cached is not None and cached <= budget:
+            return cached
+        failed = self.fail_budget.get(key)
+        if failed is not None and budget <= failed:
+            return None
         self.nodes += 1
 
         if self.omask[v] & pmask:
@@ -89,7 +87,7 @@ class _Search:
             old = self.win_rounds.get(key)
             if old is None or found < old:
                 self.win_rounds[key] = found
-        elif self.use_cache:
+        else:
             old = self.fail_budget.get(key)
             if old is None or budget > old:
                 self.fail_budget[key] = budget
@@ -107,21 +105,13 @@ class _Search:
                     yield pmask | bit, r - 1
 
 
-def solve_kgrab_dfs(
-    g: PawnGame,
-    c: Configuration,
-    extra_rounds: int = 0,
-    use_cache: bool = True,
-) -> KGrabSearchResult:
-    """Decide a k-grabbing game by bounded AND-OR search.
-
-    ``extra_rounds`` deepens the cap beyond ``|V| * (grabs_left + 1)``; any
-    sound cap extension must leave the answer unchanged.
-    """
+def solve_kgrab_dfs(g: PawnGame, c: Configuration) -> KGrabSearchResult:
+    """Decide a k-grabbing game by AND-OR search capped at
+    ``|V| * (grabs_left + 1)`` rounds."""
     if g.mechanism.rule is not GrabRule.K_GRABBING:
         raise SolverPreconditionError("search handles k-grabbing only")
     validate_configuration(g, c)
-    cap = g.n * (c.grabs_left + 1) + extra_rounds
+    cap = g.n * (c.grabs_left + 1)
 
     omask = [0] * g.n
     for v in range(g.n):
@@ -133,7 +123,7 @@ def solve_kgrab_dfs(
         rest = [j for j in range(g.d) if j not in g.owners[v]]
         grab_order.append(owning + rest)
 
-    search = _Search(g, omask, grab_order, use_cache=use_cache)
+    search = _Search(g, omask, grab_order)
     pmask = 0
     for j in c.p1_pawns:
         pmask |= 1 << j

@@ -24,6 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, GameFormatError, ValidationError
+from .gamefile import (
+    arity,
+    declare,
+    directives,
+    int_set,
+    integer,
+    keyed,
+    known,
+    player,
+    vertex_line,
+)
 from .model import Configuration, GrabRule, Mechanism, PawnGame
 from .turnbased import TurnBasedGame, solve_turnbased
 
@@ -491,11 +502,8 @@ def to_always_grabbing(pg: PawnGame, c: Configuration):
 
 def parse_lockkey(text: str | bytes) -> tuple[LockKeyGame, LockConfig]:
     """Parse the Lock & Key game text format."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     name = None
     num_locks: int | None = None
-    vertex_names: list[str] = []
     ids: dict[str, int] = {}
     p1: set[int] = set()
     targets: set[int] = set()
@@ -504,78 +512,49 @@ def parse_lockkey(text: str | bytes) -> tuple[LockKeyGame, LockConfig]:
     keys: list[frozenset[int]] = []
     init: tuple[int, frozenset[int]] | None = None
 
-    def lock_list(value: str, lineno: int) -> frozenset[int]:
-        if value == "":
-            return frozenset()
-        try:
-            return frozenset(int(x) for x in value.split(","))
-        except ValueError:
-            raise GameFormatError(f"bad lock list {value!r}", lineno)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head, rest = tokens[0], tokens[1:]
+    for lineno, head, rest in directives(text):
         if head == "lockkeygame":
-            if len(rest) != 1:
-                raise GameFormatError("lockkeygame takes one name", lineno)
-            name = rest[0]
+            name, = arity(rest, (1,), "lockkeygame takes one name", lineno)
         elif head == "locks":
-            if len(rest) != 1 or not rest[0].isdigit():
-                raise GameFormatError("locks takes one count", lineno)
-            num_locks = int(rest[0])
+            count, = arity(rest, (1,), "locks takes one count", lineno)
+            num_locks = integer(count, "lock count", lineno)
         elif head == "vertex":
-            if len(rest) not in (2, 3) or rest[0] in ids:
-                raise GameFormatError("vertex <name> player=1|2 [target]", lineno)
-            ids[rest[0]] = len(vertex_names)
-            vertex_names.append(rest[0])
-            if rest[1] == "player=1":
-                p1.add(ids[rest[0]])
-            elif rest[1] != "player=2":
-                raise GameFormatError(f"bad player token {rest[1]!r}", lineno)
-            if len(rest) == 3:
-                if rest[2] != "target":
-                    raise GameFormatError(f"unexpected token {rest[2]!r}", lineno)
-                targets.add(ids[rest[0]])
+            vname, side, is_target = vertex_line(
+                rest, "vertex <name> player=1|2 [target]", lineno)
+            v = declare(ids, vname, lineno)
+            if player(side, lineno) == 1:
+                p1.add(v)
+            if is_target:
+                targets.add(v)
         elif head == "edge":
-            if len(rest) < 2 or rest[0] not in ids or rest[1] not in ids:
-                raise GameFormatError("edge <src> <dst> [locks=..] [keys=..]",
-                                      lineno)
-            lk_set, k_set = frozenset(), frozenset()
+            arity(rest, (2, 3, 4), "edge <src> <dst> [locks=..] [keys=..]", lineno)
+            labels = {"locks": frozenset(), "keys": frozenset()}
             for token in rest[2:]:
-                if token.startswith("locks="):
-                    lk_set = lock_list(token[6:], lineno)
-                elif token.startswith("keys="):
-                    k_set = lock_list(token[5:], lineno)
-                else:
+                key, eq, value = token.partition("=")
+                if not eq or key not in labels:
                     raise GameFormatError(f"unexpected token {token!r}", lineno)
-            edges.append((ids[rest[0]], ids[rest[1]]))
-            locks.append(lk_set)
-            keys.append(k_set)
+                labels[key] = int_set(value, "lock id", lineno)
+            edges.append((known(ids, rest[0], lineno), known(ids, rest[1], lineno)))
+            locks.append(labels["locks"])
+            keys.append(labels["keys"])
         elif head == "init":
-            if len(rest) != 2:
-                raise GameFormatError("init vertex=<v> closed=<list>", lineno)
-            if not rest[0].startswith("vertex=") or rest[0][7:] not in ids:
-                raise GameFormatError("init needs a declared vertex", lineno)
-            if not rest[1].startswith("closed="):
-                raise GameFormatError("init needs closed=<list>", lineno)
-            init = (ids[rest[0][7:]], lock_list(rest[1][7:], lineno))
+            at, closed = arity(rest, (2,), "init vertex=<v> closed=<list>", lineno)
+            init = (known(ids, keyed(at, "vertex", lineno), lineno),
+                    int_set(keyed(closed, "closed", lineno), "lock id", lineno))
         else:
             raise GameFormatError(f"unknown directive {head!r}", lineno)
 
-    if name is None or num_locks is None or init is None or not vertex_names:
+    if name is None or num_locks is None or init is None or not ids:
         raise GameFormatError("missing lockkeygame/locks/vertex/init lines")
     game = LockKeyGame(
-        n=len(vertex_names),
+        n=len(ids),
         p1_vertices=frozenset(p1),
         edges=tuple(edges),
         targets=frozenset(targets),
         num_locks=num_locks,
         locks=tuple(locks),
         keys=tuple(keys),
-        names=tuple(vertex_names),
+        names=tuple(ids),
         name=name,
     )
     for j in init[1]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import GameFormatError, ValidationError
+from .gamefile import arity, directives, integer, player, vertex_line
 
 
 @dataclass(frozen=True)
@@ -153,48 +154,37 @@ def solve_turnbased(tb: TurnBasedGame) -> SolveResult:
 
 def parse_tbgame(text: str | bytes) -> TurnBasedGame:
     """Parse the ``tb``/``tbedge`` text form emitted by the reductions."""
-    from .errors import GameFormatError
-
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     p1: set[int] = set()
     targets: set[int] = set()
     declared: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "tb":
-            if len(tokens) not in (3, 4):
-                raise GameFormatError("tb <id> player=1|2 [target]", lineno)
-            v = int(tokens[1])
+    succ: dict[int, set[int]] = {}
+    for lineno, head, rest in directives(text):
+        if head == "tb":
+            vid, side, is_target = vertex_line(
+                rest, "tb <id> player=1|2 [target]", lineno)
+            v = integer(vid, "tb vertex id", lineno)
+            if v in declared:
+                raise GameFormatError(f"duplicate tb vertex {v}", lineno)
             declared.add(v)
-            if tokens[2] == "player=1":
+            if player(side, lineno) == 1:
                 p1.add(v)
-            elif tokens[2] != "player=2":
-                raise GameFormatError(f"bad player token {tokens[2]!r}", lineno)
-            if len(tokens) == 4:
-                if tokens[3] != "target":
-                    raise GameFormatError(f"unexpected token {tokens[3]!r}", lineno)
+            if is_target:
                 targets.add(v)
-        elif tokens[0] == "tbedge":
-            if len(tokens) != 3:
-                raise GameFormatError("tbedge <id> <id>", lineno)
-            edges.append((int(tokens[1]), int(tokens[2])))
+        elif head == "tbedge":
+            u, v = (integer(token, "tb vertex id", lineno) for token in
+                    arity(rest, (2,), "tbedge <id> <id>", lineno))
+            if u not in declared or v not in declared:
+                raise GameFormatError(f"tbedge {u} {v}: undeclared vertex", lineno)
+            succ.setdefault(u, set()).add(v)
         else:
-            raise GameFormatError(f"unknown directive {tokens[0]!r}", lineno)
-    n = max(declared) + 1 if declared else 0
+            raise GameFormatError(f"unknown directive {head!r}", lineno)
+    n = len(declared)
     if declared != set(range(n)):
         raise GameFormatError("tb vertex ids must be dense 0..n-1")
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        succ[u].append(v)
     return TurnBasedGame(
         n=n,
         p1_vertices=frozenset(p1),
-        succ=tuple(tuple(sorted(set(s))) for s in succ),
+        succ=tuple(tuple(sorted(succ.get(v, ()))) for v in range(n)),
         targets=frozenset(targets),
     )
 

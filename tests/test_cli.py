@@ -6,6 +6,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from pawngames.cli import main
 from pawngames.gamefile import parse_game, serialize_game
 from pawngames.generators import gen_random_pawngame, serialize_atm
@@ -225,8 +227,6 @@ def test_check_suite_pass_and_exit_codes(capsys):
 
 
 def test_check_rejects_unknown_suite(capsys):
-    import pytest
-
     with pytest.raises(SystemExit) as err:
         main(["check", "--suite", "nonsense"])
     assert err.value.code == 2
@@ -263,3 +263,33 @@ def test_budget_exceeded_exits_3(capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent.pawngame")
     assert code == 2
+
+
+MACHINE = ("atm\nstates q0:E qA:E qR:A\nalphabet a\naccept qA\nreject qR\n"
+           "cells 1\n")
+
+
+@pytest.mark.parametrize("argv, machine, says", [
+    (["gen", "tqbf", "--formula", "E"], None, "expected variable after E"),
+    (["gen", "setcover", "--universe", "3", "--sets", "1;a", "--k", "1"], None,
+     "set element"),
+    (["gen", "setcover", "--universe", "0", "--sets", "", "--k", "0"], None,
+     "universe"),
+    (["gen", "atm", "--word", "a"], MACHINE.replace("accept qA", "accept"),
+     "line 4: accept"),
+    (["gen", "atm", "--word", "a"], MACHINE.replace("cells 1", "cells two"),
+     "line 6: cell count"),
+    (["gen", "atm", "--word", ""], MACHINE.replace("cells 1", "cells 0"),
+     "at least one cell"),
+], ids=["tqbf-no-variable", "setcover-bad-element", "setcover-empty-universe",
+        "atm-bare-accept", "atm-word-cells", "atm-zero-cells"])
+def test_malformed_generator_input_exits_2(capsys, tmp_path, argv, machine,
+                                           says):
+    if machine is not None:
+        path = tmp_path / "m.atm"
+        path.write_text(machine)
+        argv = argv + ["--machine", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and says in err

@@ -53,15 +53,5 @@ def test_rejects_non_kgrab_mechanisms():
         solve_kgrab_dfs(game, config)
 
 
-def test_cache_and_no_cache_agree():
-    for seed in range(30):
-        game, config = gen_random_pawngame(
-            4, 3, OwnershipKind.OMVPP, Mechanism.k_grabbing(2), 7000 + seed
-        )
-        fast = solve_kgrab_dfs(game, config)
-        slow = solve_kgrab_dfs(game, config, use_cache=False)
-        assert fast.winner == slow.winner
-
-
 def test_agreement_witnesses_and_cap_robustness_on_random_games():
     assert suite_dfs(seed=51, count=100) == []
