@@ -55,18 +55,19 @@ def _game_text(seed: int) -> str:
     return serialize_game(*gen_random_pawngame(n, d, kind, mechanism, seed))
 
 
+WORDS = r"\S+|\s+"
+
 # name -> (text of seed i, parse, serialize of the parsed value,
 #          token pattern of the format)
 FORMATS = {
     "game": (_game_text, parse_game, lambda value: serialize_game(*value),
-             r"\S+|\s+"),
+             WORDS),
     "lockkey": (lambda i: serialize_lockkey(*gen_random_lockkey(4, 2, i)),
-                parse_lockkey, lambda value: serialize_lockkey(*value),
-                r"\S+|\s+"),
+                parse_lockkey, lambda value: serialize_lockkey(*value), WORDS),
     "atm": (lambda i: serialize_atm(gen_random_atm(1 + i % 3, i)[0]),
-            parse_atm, serialize_atm, r"\S+|\s+"),
+            parse_atm, serialize_atm, WORDS),
     "tb": (lambda i: serialize_tbgame(gen_random_turnbased(5, i)),
-           parse_tbgame, serialize_tbgame, r"\S+|\s+"),
+           parse_tbgame, serialize_tbgame, WORDS),
     "qbf": (lambda i: _formula(gen_random_qbf(i)), parse_qbf, _formula,
             r"x\d+|[^x]"),
 }
@@ -82,7 +83,7 @@ def mutate(rng: random.Random, text: str, pattern: str) -> str:
         del tokens[rng.choice(words)]
     elif kind == 1:
         tokens[rng.choice(words)] = rng.choice(("x", "-1", ""))
-    elif kind == 2 and "=" in lines[i]:
+    elif kind == 2 and "=" in lines[i]:  # else the line is duplicated
         at = rng.choice([j for j, c in enumerate(lines[i]) if c == "="])
         tokens = [lines[i][:at], lines[i][at + 1:]]
     elif kind == 3:
