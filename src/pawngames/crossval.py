@@ -22,13 +22,20 @@ from .generators import (
     gen_setcover,
     gen_tqbf,
     qbf_eval,
+    serialize_atm,
     set_cover_exists,
 )
 from .grab_or_give import solve_grab_or_give
 from .kgrab_dfs import solve_kgrab_dfs
 from .kgrab_ovpp import minimum_grabs
-from .lockkey import GadgetRegistry, PawnGameBuilder, solve_lockkey, tb_to_optional
-from .model import Configuration, Mechanism, OwnershipKind, PawnGame
+from .lockkey import (
+    GadgetRegistry,
+    PawnGameBuilder,
+    _gadget_state_pawns,
+    solve_lockkey,
+    tb_to_optional,
+)
+from .model import Configuration, GrabRule, Mechanism, OwnershipKind, PawnGame
 from .optional_grabbing import solve_ovpp_optional
 from .oracle import AllConfigurations, solve_explicit
 from .turnbased import solve_turnbased
@@ -122,10 +129,7 @@ def suite_gog(seed: int, count: int) -> list[str]:
 
 def _some_pawn_sets(rng: random.Random, d: int, cap: int = 64):
     if 2 ** d <= cap:
-        return [
-            frozenset(j for j in range(d) if mask >> j & 1)
-            for mask in range(2 ** d)
-        ]
+        return list(_subsets(range(d)))
     return [
         frozenset(j for j in range(d) if rng.random() < 0.5) for _ in range(cap)
     ]
@@ -176,39 +180,66 @@ def suite_dfs(seed: int, count: int) -> list[str]:
                 game, config, f"search winner {result.winner}, oracle {want}"
             ))
         elif result.winner == 1:
-            note = _check_witness(game, config, result.witness, result.rounds_cap)
+            note = check_play(game, config, result.witness, 1)
+            rounds = sum(step[0] == "move" for step in result.witness)
+            if note is None and rounds > result.rounds_cap:
+                note = f"witness uses {rounds} rounds, cap is {result.rounds_cap}"
             if note:
                 failures.append(_counterexample(game, config, note))
     return failures
 
 
-def _check_witness(game, config, steps, cap) -> str | None:
-    v, pawns, grabs_left = config.vertex, set(config.p1_pawns), config.grabs_left
-    rounds = 0
-    it = iter(steps)
-    for move in it:
+def check_play(game: PawnGame, config: Configuration, steps,
+               winner: int) -> str | None:
+    """Referee a play from the mechanism's rules alone; None if it is legal
+    and ends as ``winner`` claims.
+
+    A round is ``("move", u)`` then ``("nograb",)``, ``("grab", j)`` or
+    ``("give", j)``; ``("cycle",)`` or ``("trapped",)`` may end the play.
+    Player 1's play must end on a target, Player 2's must never visit one.
+    """
+    rule = game.mechanism.rule
+    v, pawns, grabs = config.vertex, set(config.p1_pawns), config.grabs_left
+    visited = {v}
+    for i in range(0, len(steps), 2):
+        move = steps[i]
+        if move[0] in ("cycle", "trapped") and i == len(steps) - 1:
+            break
         if move[0] != "move":
-            return f"witness expected a move, got {move}"
-        u = move[1]
-        if (v, u) not in game.edges:
-            return f"witness move {v}->{u} is not an edge"
-        exchange = next(it, None)
-        if exchange is None:
-            return "witness ended in the middle of a round"
-        if exchange[0] == "grab":
+            return f"step {i}: expected a move, got {move}"
+        if (v, move[1]) not in game.edges:
+            return f"step {i}: {v}->{move[1]} is not an edge"
+        if i + 1 == len(steps):
+            return "the play ends in the middle of a round"
+        exchange = steps[i + 1]
+        # the exchanging player: Player 1 under k-grabbing, else the one
+        # who did not move
+        moved_by = 1 if game.owners[v] & pawns else 2
+        actor = 1 if rule is GrabRule.K_GRABBING else 3 - moved_by
+        if exchange[0] == "nograb":
+            if rule in (GrabRule.ALWAYS, GrabRule.GRAB_OR_GIVE):
+                return f"step {i + 1}: {rule.value} forces an exchange"
+        elif exchange[0] not in ("grab", "give"):
+            return f"step {i + 1}: expected an exchange, got {exchange}"
+        elif exchange[0] == "give" and rule is not GrabRule.GRAB_OR_GIVE:
+            return f"step {i + 1}: only grab-or-give lets a pawn be given"
+        else:
             j = exchange[1]
-            if j in pawns or grabs_left == 0:
-                return f"witness grab of pawn {j} is illegal"
-            pawns.add(j)
-            grabs_left -= 1
-        elif exchange[0] != "nograb":
-            return f"witness expected a grab decision, got {exchange}"
-        v = u
-        rounds += 1
-    if v not in game.targets:
-        return "witness play does not end on a target"
-    if rounds > cap:
-        return f"witness uses {rounds} rounds, cap is {cap}"
+            # a grab takes the other player's pawn, a give hands over one's own
+            holder = actor if exchange[0] == "give" else 3 - actor
+            if not 0 <= j < game.d or (j in pawns) != (holder == 1):
+                return f"step {i + 1}: {exchange} needs a pawn of Player {holder}"
+            if rule is GrabRule.K_GRABBING:
+                if grabs == 0:
+                    return f"step {i + 1}: {exchange} with no grabs left"
+                grabs -= 1
+            pawns ^= {j}
+        v = move[1]
+        visited.add(v)
+    if winner == 1 and v not in game.targets:
+        return "Player 1's play does not end on a target"
+    if winner == 2 and visited & game.targets:
+        return "Player 2's play visits a target"
     return None
 
 
@@ -231,88 +262,52 @@ def suite_lemma41(seed: int, count: int) -> list[str]:
     return failures
 
 
-def _gadget_harness(parts: list[str], p1_state_pawns: list[str]):
+def _gadget_harness(parts: list[str], closed: frozenset[int]):
     """A chain harness: entry -> gadgets/escape vertices -> goal.
 
-    ``parts`` is a sequence of ``lock``/``key``/``mid`` items; gadget
-    copies share one fresh-pawn pool and the sink/goal share one pawn to
-    stay within a small pawn budget.  ``p1_state_pawns`` picks which of
-    blue/green/red start on Player 1's side; the entry pawn always does.
+    ``parts`` is a sequence of ``lock``/``key``/``mid`` items; the gadgets
+    are lock 0's copies from ``GadgetRegistry``, and ``closed`` gives lock
+    0's state through the pawn split ``lockkey_to_optional`` uses.  The
+    entry pawn starts on Player 1's side.
     """
     b = PawnGameBuilder("gadget-harness")
     reg = GadgetRegistry(b)
-    # one pawn for both terminals: they only carry self-loops
+    # one pawn for both terminals: they only carry self-loops, and the
+    # sweep's cost doubles with every pawn
     st_pawn = b.add_pawn()
-    sink = b.add_vertex("sink", st_pawn)
-    goal = b.add_vertex("goal", st_pawn)
-    b.add_edge(sink, sink)
-    b.add_edge(goal, goal)
-    b.targets.add(goal)
+    reg.sink = b.add_vertex("sink", st_pawn)
+    reg.goal = b.add_vertex("goal", st_pawn)
+    b.add_edge(reg.sink, reg.sink)
+    b.add_edge(reg.goal, reg.goal)
+    b.targets.add(reg.goal)
     entry, entry_pawn = b.add_fresh_vertex("entry")
-    shared_fresh: dict[str, int] = {}
-
-    def fresh_for(part: str) -> int:
-        if part not in shared_fresh:
-            shared_fresh[part] = b.add_pawn()
-        return shared_fresh[part]
-
+    build = {"lock": reg.build_lock_gadget, "key": reg.build_key_gadget}
     cur = entry
     for step, part in enumerate(parts):
         if part == "mid":
-            mid = b.add_vertex(f"mid{step}", fresh_for("mid"))
-            b.add_edge(cur, mid)
-            b.add_edge(mid, sink)
-            cur = mid
-            continue
-        if part == "lock":
-            vin = b.add_vertex(f"g{step}.in", fresh_for("in"))
-            v1 = b.add_vertex(f"g{step}.blue1", reg.blue_pawn(0))
-            v2 = b.add_vertex(f"g{step}.green2", reg.green_pawn(0))
-            v3 = b.add_vertex(f"g{step}.w3", fresh_for("w3"))
-            v4 = b.add_vertex(f"g{step}.w4", fresh_for("w4"))
-            vout = b.add_vertex(f"g{step}.out", fresh_for("out"))
-            for u, v in ((vin, v1), (vin, v2), (v1, v3), (v2, v4),
-                         (v3, vout), (v3, sink), (v4, vout), (v4, goal)):
-                b.add_edge(u, v)
+            vin = vout = b.add_fresh_vertex(f"mid{step}")[0]
+            b.add_edge(vin, reg.sink)
         else:
-            red, blue, green = reg.red_pawn(0), reg.blue_pawn(0), reg.green_pawn(0)
-            vin = b.add_vertex(f"g{step}.in", red)
-            v1 = b.add_vertex(f"g{step}.blue1", blue)
-            v2 = b.add_vertex(f"g{step}.green2", green)
-            v3 = b.add_vertex(f"g{step}.w3", fresh_for("w3"))
-            v4 = b.add_vertex(f"g{step}.red4", red)
-            v5 = b.add_vertex(f"g{step}.red5", red)
-            v6 = b.add_vertex(f"g{step}.red6", red)
-            v7 = b.add_vertex(f"g{step}.green7", green)
-            v8 = b.add_vertex(f"g{step}.green8", green)
-            vout = b.add_vertex(f"g{step}.out", fresh_for("out"))
-            for u, v in ((vin, v1), (v1, v2), (v1, v4), (v2, v3),
-                         (v3, sink), (v3, goal), (v4, v5), (v4, v6),
-                         (v5, v7), (v5, sink), (v6, v8), (v6, goal),
-                         (v7, vout), (v7, goal), (v8, vout), (v8, sink)):
-                b.add_edge(u, v)
+            vin, vout, _ = build[part](0)
         b.add_edge(cur, vin)
         cur = vout
-    b.add_edge(cur, goal)
-
-    colors = {"blue": reg.blue, "green": reg.green, "red": reg.red}
-    p1 = {entry_pawn}
-    for color in p1_state_pawns:
-        p1.add(colors[color][0])
+    b.add_edge(cur, reg.goal)
+    p1 = {entry_pawn} | _gadget_state_pawns(reg, closed)
     return b.build(Mechanism.optional(), entry, p1)
 
 
 def suite_gadgets(seed: int = 0, count: int = 0) -> list[str]:
     """Lock and key gadget behavior, decided by the oracle on harnesses."""
+    closed, open_ = frozenset({0}), frozenset()
     cases = [
-        ("open lock is crossable", ["lock"], ["green"], 1),
-        ("closed lock kills the enterer", ["lock"], ["blue"], 2),
+        ("open lock is crossable", ["lock"], open_, 1),
+        ("closed lock kills the enterer", ["lock"], closed, 2),
         ("open lock crossed twice: state preserved",
-         ["lock", "lock"], ["green"], 1),
+         ["lock", "lock"], open_, 1),
         ("key entered closed opens the lock",
-         ["key", "mid", "lock"], ["blue", "red"], 1),
+         ["key", "mid", "lock"], closed, 1),
         ("key entered open closes the lock",
-         ["key", "mid", "lock"], ["green"], 2),
+         ["key", "mid", "lock"], open_, 2),
     ]
     failures = []
     for note, parts, state, want in cases:
@@ -367,8 +362,7 @@ def suite_monotonic(seed: int, count: int) -> list[str]:
 
 
 def _check_subset_monotone(game, oracle) -> str | None:
-    all_sets = [frozenset(j for j in range(game.d) if m >> j & 1)
-                for m in range(2 ** game.d)]
+    all_sets = list(_subsets(range(game.d)))
     for v in range(game.n):
         j = next(iter(game.owners[v]))
         wins = {p for p in all_sets if oracle.winner(v, p) == 1}
@@ -385,8 +379,7 @@ def _check_subset_monotone(game, oracle) -> str | None:
 
 
 def _check_superset_monotone(game, oracle, k: int) -> str | None:
-    all_sets = [frozenset(j for j in range(game.d) if m >> j & 1)
-                for m in range(2 ** game.d)]
+    all_sets = list(_subsets(range(game.d)))
     for v in range(game.n):
         for r in range(k + 1):
             for p in all_sets:
@@ -403,7 +396,7 @@ def _check_superset_monotone(game, oracle, k: int) -> str | None:
     return None
 
 
-def _subsets(p: frozenset[int]):
+def _subsets(p):
     items = sorted(p)
     for mask in range(2 ** len(items)):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
@@ -476,8 +469,6 @@ def suite_atm(seed: int, count: int) -> list[str]:
         got = solve_lockkey(lk, lc)
         want = 1 if atm_accepts_bruteforce(atm, word) else 2
         if got != want:
-            from .generators import serialize_atm
-
             failures.append(
                 f"machine acceptance {want == 1}, game winner {got}\n"
                 + serialize_atm(atm) + f"word {word}\n"
@@ -486,18 +477,7 @@ def suite_atm(seed: int, count: int) -> list[str]:
 
 
 def run_suite(name: str, seed: int, count: int) -> list[str]:
-    table = {
-        "alg1": suite_alg1,
-        "gog": suite_gog,
-        "eta": suite_eta,
-        "dfs": suite_dfs,
-        "lemma41": suite_lemma41,
-        "gadgets": suite_gadgets,
-        "monotonic": suite_monotonic,
-        "setcover": suite_setcover,
-        "tqbf": suite_tqbf,
-        "atm": suite_atm,
-    }
-    if name not in table:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {', '.join(SUITES)}")
-    return table[name](seed, count)
+    # looked up per call, so a rebound ``suite_<name>`` is the one that runs
+    return globals()[f"suite_{name}"](seed, count)

@@ -26,11 +26,18 @@ class SolverPreconditionError(PawnGameError):
 
 
 class BudgetExceededError(PawnGameError):
-    """State-space construction would exceed the configured node budget."""
+    """State-space construction would exceed the configured node budget.
 
-    def __init__(self, estimate: int, budget: int):
+    ``estimate`` is None when it was too large to build; ``bits`` is then
+    the bit length of a lower bound on it."""
+
+    def __init__(self, estimate: int | None, budget: int, bits: int = 0):
         self.estimate = estimate
         self.budget = budget
+        if estimate is not None:
+            bits = estimate.bit_length()
+        size = (str(estimate) if estimate is not None and bits <= 64
+                else f"at least 2^{bits - 1}")
         super().__init__(
-            f"estimated state space of {estimate} nodes exceeds budget {budget}"
+            f"estimated state space of {size} nodes exceeds budget {budget}"
         )

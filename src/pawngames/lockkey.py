@@ -70,9 +70,6 @@ class LockKeyGame:
                 if not 0 <= j < self.num_locks:
                     raise ValidationError(f"lock id {j} out of range")
 
-    def out_edges(self, v: int) -> list[int]:
-        return [i for i, (u, _) in enumerate(self.edges) if u == v]
-
 
 @dataclass(frozen=True)
 class LockConfig:
@@ -82,15 +79,16 @@ class LockConfig:
 
 def expand_lockkey(
     lk: LockKeyGame,
-    init: LockConfig | None = None,
+    init: LockConfig,
     max_locks: int = DEFAULT_LOCK_BUDGET,
 ):
     """Compile lock state into a turn-based game over (vertex, closed set).
 
-    Crossing edge ``e`` from ``(v, A)`` is legal when no lock of ``e`` lies
-    in ``A`` and leads to ``(u, A xor keys(e))``.  Configurations with no
-    legal move get a self-loop: the play goes on forever off-target.
-    Returns the game, the configuration-to-id index, and the state list.
+    Only the configurations reachable from ``init`` are built.  Crossing
+    edge ``e`` from ``(v, A)`` is legal when no lock of ``e`` lies in ``A``
+    and leads to ``(u, A xor keys(e))``.  Configurations with no legal move
+    get a self-loop: the play goes on forever off-target.  Returns the
+    game, the configuration-to-id index, and the state list.
     """
     if lk.num_locks > max_locks:
         raise BudgetExceededError(2 ** lk.num_locks, 2 ** max_locks)
@@ -100,10 +98,7 @@ def expand_lockkey(
     lock_masks = [_mask(s) for s in lk.locks]
     key_masks = [_mask(s) for s in lk.keys]
 
-    if init is None:
-        states = [(v, a) for v in range(lk.n) for a in range(2 ** lk.num_locks)]
-    else:
-        states = [(init.vertex, _mask(init.closed))]
+    states = [(init.vertex, _mask(init.closed))]
     index = {s: i for i, s in enumerate(states)}
     succ: list[list[int]] = [[] for _ in states]
 
@@ -324,15 +319,6 @@ class GadgetRegistry:
             table[j] = self.builder.add_pawn()
         return table[j]
 
-    def blue_pawn(self, j: int) -> int:
-        return self._color(self.blue, j)
-
-    def green_pawn(self, j: int) -> int:
-        return self._color(self.green, j)
-
-    def red_pawn(self, j: int) -> int:
-        return self._color(self.red, j)
-
     def _next_copy(self, kind: str, j: int) -> int:
         c = self.copies.get((kind, j), 0)
         self.copies[(kind, j)] = c + 1
@@ -345,8 +331,8 @@ class GadgetRegistry:
         c = self._next_copy("lock", j)
         pre = f"lock{j}.{c}."
         vin, _ = b.add_fresh_vertex(pre + "in")
-        v1 = b.add_vertex(pre + "blue1", self.blue_pawn(j))
-        v2 = b.add_vertex(pre + "green2", self.green_pawn(j))
+        v1 = b.add_vertex(pre + "blue1", self._color(self.blue, j))
+        v2 = b.add_vertex(pre + "green2", self._color(self.green, j))
         v3, _ = b.add_fresh_vertex(pre + "w3")
         v4, _ = b.add_fresh_vertex(pre + "w4")
         vout, _ = b.add_fresh_vertex(pre + "out")
@@ -361,7 +347,8 @@ class GadgetRegistry:
         s, t = self.ensure_sink_goal()
         c = self._next_copy("key", j)
         pre = f"key{j}.{c}."
-        red, blue, green = self.red_pawn(j), self.blue_pawn(j), self.green_pawn(j)
+        red, blue, green = (self._color(table, j)
+                            for table in (self.red, self.blue, self.green))
         vin = b.add_vertex(pre + "in", red)
         v1 = b.add_vertex(pre + "blue1", blue)
         v2 = b.add_vertex(pre + "green2", green)

@@ -42,20 +42,27 @@ def _owner_masks(g: PawnGame) -> list[int]:
     return masks
 
 
-def _estimate_states(g: PawnGame, c: Configuration) -> int:
+def _estimate_states(g: PawnGame, c: Configuration, budget: int) -> None:
+    """Refuse a rooted expansion whose estimated size exceeds ``budget``;
+    a huge pawn count is refused before ``2**d`` is built."""
     from math import comb
 
-    maxdeg = max(len(s) for s in g.succ)
-    if g.mechanism.rule is GrabRule.K_GRABBING:
-        # pawn sets only grow from the initial one, one pawn per grab
-        free = g.d - len(c.p1_pawns)
-        r = c.grabs_left if c.grabs_left is not None else g.mechanism.k
-        configs = g.n * (r + 1) * sum(
-            comb(free, j) for j in range(min(r, free) + 1)
+    kgrab = g.mechanism.rule is GrabRule.K_GRABBING
+    # under k-grabbing pawn sets only grow from the initial one, one pawn
+    # per grab; either way the estimate counts at least 2**m pawn sets
+    free = g.d - len(c.p1_pawns)
+    m = min(c.grabs_left, free) if kgrab else g.d
+    if m > budget.bit_length():
+        raise BudgetExceededError(None, budget, bits=m + 1)
+    if kgrab:
+        configs = g.n * (c.grabs_left + 1) * sum(
+            comb(free, j) for j in range(m + 1)
         )
     else:
-        configs = g.n * (2 ** g.d)
-    return configs * (1 + maxdeg)
+        configs = g.n * 2 ** g.d
+    estimate = configs * (1 + max(len(s) for s in g.succ))
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
 
 
 class _StateGraph:
@@ -278,9 +285,7 @@ def solve_explicit(
 ) -> ExplicitResult:
     """Decide the winner from ``c`` via the explicit configuration graph."""
     validate_configuration(g, c)
-    estimate = _estimate_states(g, c)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
+    _estimate_states(g, c, budget)
     pmask = _mask(c.p1_pawns)
     r = c.grabs_left if c.grabs_left is not None else _NO_R
     sg, roots = _expand(g, [(c.vertex, pmask, r)], budget,
@@ -321,6 +326,8 @@ class AllConfigurations:
         self.game = g
         rule = g.mechanism.rule
         layers = g.mechanism.k + 1 if rule is GrabRule.K_GRABBING else 1
+        if g.d > budget.bit_length():
+            raise BudgetExceededError(None, budget, bits=g.d + 1)
         size = g.n * (1 << g.d) * layers
         if size > budget:
             raise BudgetExceededError(size, budget)
@@ -546,9 +553,7 @@ def expand_game(
 ) -> ExpandedGame:
     """The unpruned reachable expansion from ``c`` with canonical vertex ids."""
     validate_configuration(g, c)
-    estimate = _estimate_states(g, c)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
+    _estimate_states(g, c, budget)
     r = c.grabs_left if c.grabs_left is not None else _NO_R
     sg, _ = _expand(g, [(c.vertex, _mask(c.p1_pawns), r)], budget,
                     prune_hopeless=False, terminal_targets=False)

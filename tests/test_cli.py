@@ -260,6 +260,20 @@ def test_budget_exceeded_exits_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--algo", "explicit"],
+                                  ["reduce", "expand"]])
+def test_huge_pawn_count_exits_3(capsys, tmp_path, argv):
+    # 2**d for this d has too many digits to print; it must not be built
+    path = tmp_path / "huge.pawngame"
+    path.write_text("pawngame huge\nmechanism optional-grabbing\n"
+                    "pawns 100000000\nvertex v owners=0 target\nedge v v\n"
+                    "init vertex=v p1pawns=\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and "at least 2^100000000 " in last
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent.pawngame")
     assert code == 2

@@ -12,7 +12,7 @@ from pawngames import (
     solve_explicit,
     solve_kgrab_dfs,
 )
-from pawngames.crossval import _check_witness, suite_dfs
+from pawngames.crossval import check_play, suite_dfs
 from pawngames.generators import gen_random_pawngame, gen_setcover, set_cover_exists
 
 FIG5_SETS = [frozenset({1}), frozenset({1, 2}), frozenset({2, 3})]
@@ -35,7 +35,7 @@ def test_three_element_cover_instance_with_two_grabs():
     # the winning line commits to the two covering sets
     grabbed = {step[1] for step in result.witness if step[0] == "grab"}
     assert grabbed <= {1, 2, 3} and len(grabbed) <= 2
-    assert _check_witness(game, config, result.witness, result.rounds_cap) is None
+    assert check_play(game, config, result.witness, 1) is None
 
 
 def test_single_grab_is_not_enough_for_that_instance():

@@ -188,6 +188,20 @@ def test_gadget_behavior_matches_the_lock_semantics():
     assert suite_gadgets() == []
 
 
+def test_gadget_suite_checks_the_registry_gadgets(monkeypatch):
+    build = GadgetRegistry.build_lock_gadget
+
+    def planted(self, j):
+        # the lock gadget's w3 escape leads to the goal, not the sink
+        vin, vout, path = build(self, j)
+        self.builder.edges.remove((path[2], self.sink))
+        self.builder.add_edge(path[2], self.goal)
+        return vin, vout, path
+
+    monkeypatch.setattr(GadgetRegistry, "build_lock_gadget", planted)
+    assert suite_gadgets() != []
+
+
 def test_compiled_initial_pawns_realize_the_lock_states():
     lk = chain_game(locks=[(), {0}], keys=[{0}, ()])
     game, config, emb = lockkey_to_optional(lk, LockConfig(0, frozenset({0})))

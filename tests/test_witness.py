@@ -1,88 +1,28 @@
-"""Witness plays replayed against independently written exchange rules."""
+"""Witness plays checked by the play referee, and the referee itself checked
+on plays with one planted fault."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from pawngames import (
     AllConfigurations,
-    Configuration,
     GrabRule,
     Mechanism,
     OwnershipKind,
-    mover,
     solve_explicit,
     witness_play,
 )
+from pawngames.crossval import check_play
 from pawngames.generators import gen_random_pawngame
 
 
-def legal_next_pawn_sets(game, moved_by, pawns):
-    """All pawn sets an exchange may produce, straight from the rules."""
-    rule = game.mechanism.rule
-    options = set()
-    if rule in (GrabRule.OPTIONAL, GrabRule.K_GRABBING):
-        options.add(pawns)
-    if rule is GrabRule.K_GRABBING:
-        options |= {pawns | {j} for j in range(game.d) if j not in pawns}
-    elif rule is GrabRule.GRAB_OR_GIVE:
-        options |= {pawns - {j} for j in pawns}
-        options |= {pawns | {j} for j in range(game.d) if j not in pawns}
-    else:
-        if moved_by == 1:
-            options |= {pawns - {j} for j in pawns}
-        else:
-            options |= {pawns | {j} for j in range(game.d) if j not in pawns}
-    return options
-
-
-def replay(game, config, steps):
-    """Follow a witness play; returns the visited vertices or an error."""
-    v, pawns = config.vertex, set(config.p1_pawns)
-    grabs = config.grabs_left
-    visited = [v]
-    it = iter(steps)
-    for step in it:
-        if step[0] in ("cycle", "trapped"):
-            break
-        if step[0] != "move":
-            return f"expected a move, got {step}"
-        u = step[1]
-        if (v, u) not in game.edges:
-            return f"{v}->{u} is not an edge"
-        moved_by = mover(game, Configuration(v, frozenset(pawns), grabs))
-        exchange = next(it, None)
-        if exchange is None:
-            return "half-finished round"
-        if exchange[0] in ("cycle", "trapped"):
-            visited.append(u)
-            break
-        if exchange[0] == "nograb":
-            new_pawns = set(pawns)
-        elif exchange[0] == "grab":
-            new_pawns = pawns | {exchange[1]} if exchange[1] not in pawns \
-                else pawns - {exchange[1]}
-            if game.mechanism.rule is GrabRule.K_GRABBING:
-                if exchange[1] in pawns or grabs == 0:
-                    return f"illegal grab {exchange}"
-                grabs -= 1
-        else:
-            new_pawns = pawns - {exchange[1]} if exchange[1] in pawns \
-                else pawns | {exchange[1]}
-        if frozenset(new_pawns) not in legal_next_pawn_sets(
-            game, moved_by, frozenset(pawns)
-        ):
-            return f"illegal exchange {exchange} after player {moved_by} moved"
-        pawns = set(new_pawns)
-        v = u
-        visited.append(v)
-    return visited
-
-
-def test_winning_witnesses_reach_a_target_legally():
-    rng = random.Random(70)
-    wins = 0
-    for i in range(150):
+def random_witnesses(rng_seed, first_seed, count):
+    """Seeded games of every ownership kind under all four mechanisms, each
+    with its winner and the oracle's witness play."""
+    rng = random.Random(rng_seed)
+    for i in range(count):
         kind = rng.choice(list(OwnershipKind))
         n = rng.randint(2, 6)
         if kind is OwnershipKind.OVPP:
@@ -96,16 +36,64 @@ def test_winning_witnesses_reach_a_target_legally():
             Mechanism.optional(), Mechanism.always(),
             Mechanism.grab_or_give(), Mechanism.k_grabbing(rng.randint(0, 2)),
         ])
-        game, config = gen_random_pawngame(n, d, kind, mech, 88_000 + i)
+        game, config = gen_random_pawngame(n, d, kind, mech, first_seed + i)
         result = solve_explicit(game, config)
-        outcome = replay(game, config, witness_play(game, result))
-        assert isinstance(outcome, list), outcome
-        if result.winner == 1:
-            wins += 1
-            assert outcome[-1] in game.targets
-        else:
-            assert not set(outcome) & game.targets
+        yield game, config, result.winner, witness_play(game, result)
+
+
+def test_winning_witnesses_reach_a_target_legally():
+    wins = 0
+    for game, config, winner, steps in random_witnesses(70, 88_000, 150):
+        assert check_play(game, config, steps, winner) is None, steps
+        wins += winner == 1
     assert wins > 20
+
+
+def faults(game, config, steps):
+    """``(fault, play)`` for every play that differs from the legal play
+    ``steps`` by one dropped or changed step."""
+    rule = game.mechanism.rule
+    v, pawns, grabs = config.vertex, frozenset(config.p1_pawns), config.grabs_left
+
+    def at(k, step):
+        return steps[:k] + [step] + steps[k + 1:]
+
+    for i in range(0, len(steps) - 1, 2):
+        if steps[i][0] != "move":
+            return
+        others = frozenset(range(game.d)) - pawns
+        yield "dropped step", steps[:i] + steps[i + 1:]
+        yield "dropped step", steps[:i + 1] + steps[i + 2:]
+        for w in range(game.n):
+            if (v, w) not in game.edges:
+                yield "move off an edge", at(i, ("move", w))
+        # Player 1 grabs under k-grabbing and after Player 2 moved
+        p1_grabs = rule is GrabRule.K_GRABBING or not game.owners[v] & pawns
+        for j in pawns if p1_grabs else others:
+            yield "grab of a held pawn", at(i + 1, ("grab", j))
+        if rule is not GrabRule.GRAB_OR_GIVE:
+            yield "give outside grab-or-give", at(i + 1, ("give", 0))
+        if rule in (GrabRule.ALWAYS, GrabRule.GRAB_OR_GIVE):
+            yield "nograb where an exchange is forced", at(i + 1, ("nograb",))
+        if grabs == 0:
+            for j in others:
+                yield "grab with 0 grabs left", at(i + 1, ("grab", j))
+        kind, *pawn = steps[i + 1]
+        pawns ^= frozenset(pawn)
+        if kind == "grab" and grabs is not None:
+            grabs -= 1
+        v = steps[i][1]
+
+
+def test_referee_rejects_every_planted_fault():
+    caught = Counter()
+    for game, config, winner, steps in random_witnesses(73, 90_000, 150):
+        assert check_play(game, config, steps, 3 - winner) is not None
+        for fault, play in faults(game, config, steps):
+            assert check_play(game, config, play, winner) is not None, (
+                fault, play)
+            caught[fault] += 1
+    assert len(caught) == 6 and min(caught.values()) >= 10, caught
 
 
 def test_single_root_and_all_roots_solvers_agree():
