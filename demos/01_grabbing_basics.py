@@ -47,12 +47,16 @@ holding_v0 = Configuration(empty_handed.vertex, frozenset({0}))
 print("g1 from <v0, {v0}>: winner", solve_explicit(game, holding_v0).winner)
 
 # The dedicated polynomial solver for one-vertex-per-pawn optional
-# grabbing agrees, and also exposes its absorption trace.
+# grabbing agrees, and also exposes its absorption trace: each round names
+# its rule and the vertices it adds to the winning region W.
 result = solve_ovpp_optional(game, empty_handed)
 print("absorption solver:  winner", result.winner)
+absorbed = set()
 for entry in result.trace:
-    print("   rule", entry.rule or "start", "->",
-          sorted(game.names[v] for v in entry.w))
+    absorbed |= entry.added
+    added = sorted(game.names[v] for v in entry.added)
+    region = sorted(game.names[v] for v in absorbed)
+    print(f"   {entry.rule:<17} adds {added}, W = {region}")
 
 # Game two: winning can require revisiting a vertex, which never happens in
 # ordinary turn-based reachability.

@@ -40,7 +40,6 @@ from .model import (
     PawnGame,
     classify,
     mover,
-    structurally_equal,
 )
 from .optional_grabbing import solve_ovpp_optional
 from .oracle import (
@@ -92,7 +91,6 @@ __all__ = [
     "solve_ovpp_optional",
     "solve_turnbased",
     "split_labels",
-    "structurally_equal",
     "tb_to_optional",
     "to_always_grabbing",
     "witness_play",

@@ -154,6 +154,10 @@ def cmd_reduce(args) -> int:
         sys.stdout.write(serialize_game(game, config))
     else:
         game, config = parse_game(_read(args.file))
+        # the padding adds 2 * (d + 10) vertices; refuse it before building
+        padded_n = game.n + 2 * (game.d + 10)
+        if padded_n > args.budget:
+            raise BudgetExceededError(padded_n, args.budget)
         padded, pconfig = to_always_grabbing(game, config)
         sys.stdout.write(serialize_game(padded, pconfig))
     return 0

@@ -261,9 +261,12 @@ def test_budget_exceeded_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["solve", "--algo", "explicit"],
-                                  ["reduce", "expand"]])
+                                  ["reduce", "expand"],
+                                  ["reduce", "optional-to-always"]])
 def test_huge_pawn_count_exits_3(capsys, tmp_path, argv):
-    # 2**d for this d has too many digits to print; it must not be built
+    # 2**d for this d has too many digits to print; it must not be built,
+    # and neither must the 2 * (d + 10) vertices that pad it for always
+    # grabbing
     path = tmp_path / "huge.pawngame"
     path.write_text("pawngame huge\nmechanism optional-grabbing\n"
                     "pawns 100000000\nvertex v owners=0 target\nedge v v\n"
@@ -271,7 +274,9 @@ def test_huge_pawn_count_exits_3(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (3, "")
     last = err.splitlines()[-1]
-    assert last.startswith("error: ") and "at least 2^100000000 " in last
+    size = ("200000021" if "optional-to-always" in argv
+            else "at least 2^100000000")
+    assert last.startswith("error: ") and f" {size} " in last
 
 
 def test_missing_file_exits_2(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pawngames.crossval import run_suite
 from pawngames.gamefile import parse_game
+from structural import structurally_equal
 
 
 def test_suites_are_deterministic_per_seed():
@@ -16,7 +17,7 @@ def test_suites_are_deterministic_per_seed():
 def test_counterexample_reports_reparse():
     from pawngames.crossval import _counterexample
     from pawngames.generators import gen_random_pawngame
-    from pawngames.model import Mechanism, OwnershipKind, structurally_equal
+    from pawngames.model import Mechanism, OwnershipKind
 
     game, config = gen_random_pawngame(
         5, 5, OwnershipKind.OVPP, Mechanism.optional(), 12

@@ -23,7 +23,7 @@ from pawngames.generators import (
     qbf_eval,
     serialize_atm,
 )
-from pawngames.model import structurally_equal
+from structural import structurally_equal
 
 
 def one_step_machine(target_state):

@@ -18,9 +18,9 @@ from pawngames import (
     mover,
     parse_game,
     serialize_game,
-    structurally_equal,
 )
 from pawngames.generators import gen_random_pawngame
+from structural import structurally_equal
 
 DATA = Path(__file__).parent / "data"
 
