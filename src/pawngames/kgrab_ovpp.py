@@ -3,15 +3,23 @@
 Relative to a fixed initial pawn set, ``minimum_grabs`` labels every vertex
 with the least number of grabs Player 1 needs to win from it.
 
-The construction works on a small product game over states
-``(vertex, controls-current-vertex, grabs-left)``.  Grabs can be normalized
-to always take the pawn of the vertex the token just moved to: deferring a
-grab to the arrival moment never hurts, and a pawn grabbed at an earlier
-visit can be re-grabbed on demand within the same budget, so the product
-game decides exactly the configurations ``(v, P0, r)``.  One attractor
-computation over the product (about ``4 * |V| * (cap + 1)`` states, with
-the budget capped at ``|V|`` for the labels and at the grab budget for one
-winner query) yields every label at once.
+Grabs can be normalized to always take the pawn of the vertex the token
+just moved to: deferring a grab to the arrival moment never hurts, and a
+pawn grabbed at an earlier visit can be re-grabbed on demand within the
+same budget.  So the game is solved one grab budget ``r`` at a time, on a
+layer of ``4 * |V|`` states built once: a configuration ``(v, c)``, where
+``c`` says whether Player 1 controls ``v``, and an exchange state
+``(u, c0)`` where Player 1 decides whether to grab after a move to ``u``.
+Layer ``r`` is one attractor whose targets are the game's targets and every
+exchange ``(u, 0)`` whose grab lands on a configuration ``(u, 1)`` won in
+layer ``r - 1``.  A vertex's label is the first layer that wins its start
+configuration.
+
+Layer ``r`` is a fixed function of the ``(u, 1)`` wins of layer ``r - 1``,
+so once two consecutive layers win the same ``(u, 1)`` configurations,
+every later layer is equal and the labels are final.  That set grows at
+most ``|V|`` times, so no label exceeds ``|V|``; a winner query also stops
+at its grab budget.
 """
 
 from __future__ import annotations
@@ -46,49 +54,40 @@ def _vertex_control(g: PawnGame, p0_pawns: frozenset[int]) -> frozenset[int]:
     return frozenset(vertex_of[j] for j in p0_pawns)
 
 
-def _eta_product(g: PawnGame, base: frozenset[int], cap: int) -> list[float]:
-    """Exact labels up to ``cap`` via the (vertex, control bit, budget)
-    product game; a label above ``cap`` reads as inf.  Budget layer ``r``
-    reads only the layers up to ``r``, so a smaller cap changes no label
-    within it."""
+def _layered_labels(g: PawnGame, base: frozenset[int],
+                    stop: int | None = None) -> list[float]:
+    """Labels from layers ``0, 1, ...`` until the layers repeat or layer
+    ``stop`` is solved; a vertex not won by then reads inf."""
     n = g.n
-
-    def config(v: int, c: int, r: int) -> int:
-        return (v * 2 + c) * (cap + 1) + r
-
-    offset = 2 * n * (cap + 1)
-
-    def inter(u: int, c0: int, r: int) -> int:
-        return offset + config(u, c0, r)
-
-    total = 2 * offset
-    succ: list[list[int]] = [[] for _ in range(total)]
-    side = [2] * total
-    target = [False] * total
+    # configuration (v, c) is state 2v + c, exchange (u, c0) is 2n + 2u + c0
+    succ: list[list[int]] = [[] for _ in range(4 * n)]
+    side = [1] * (4 * n)  # the grab decision is always Player 1's
+    target = [False] * (4 * n)
     for v in range(n):
-        for r in range(cap + 1):
-            for c in (0, 1):
-                sid = config(v, c, r)
-                if c == 1:
-                    side[sid] = 1
-                target[sid] = v in g.targets
-                for u in g.succ[v]:
-                    c0 = c if u == v else (1 if u in base else 0)
-                    succ[sid].append(inter(u, c0, r))
-            for c0 in (0, 1):
-                iid = inter(v, c0, r)
-                side[iid] = 1  # the grab decision is always Player 1's
-                succ[iid].append(config(v, c0, r))
-                if c0 == 0 and r > 0:
-                    succ[iid].append(config(v, 1, r - 1))
-
-    in_region, _ = attract(succ, side, target)
-    eta: list[float] = []
-    for v in range(n):
-        c = 1 if v in base else 0
-        wins = [r for r in range(cap + 1) if in_region[config(v, c, r)]]
-        eta.append(min(wins) if wins else math.inf)
-    return eta
+        for c in (0, 1):
+            sid = 2 * v + c
+            side[sid] = 1 if c else 2
+            target[sid] = v in g.targets
+            for u in g.succ[v]:
+                c0 = c if u == v else int(u in base)
+                succ[sid].append(2 * n + 2 * u + c0)
+            succ[2 * n + sid].append(sid)
+    start = [2 * v + int(v in base) for v in range(n)]
+    eta = [math.inf] * n
+    won = None
+    r = 0
+    while True:
+        in_region, _ = attract(succ, side, target)
+        for v in range(n):
+            if eta[v] == math.inf and in_region[start[v]]:
+                eta[v] = r
+        now = in_region[1:2 * n:2]
+        if now == won or r == stop:
+            return eta
+        won = now
+        r += 1
+        for u in range(n):
+            target[2 * n + 2 * u] = won[u]
 
 
 def _require_ovpp_kgrab(g: PawnGame) -> None:
@@ -101,15 +100,12 @@ def _require_ovpp_kgrab(g: PawnGame) -> None:
 def minimum_grabs(g: PawnGame, p0_pawns: frozenset[int]) -> MinGrabMap:
     """Least number of grabs Player 1 needs from each vertex, given ``p0_pawns``."""
     _require_ovpp_kgrab(g)
-    # more than one local grab per vertex is never needed
-    eta = _eta_product(g, _vertex_control(g, p0_pawns), g.n)
-    return MinGrabMap(tuple(eta))
+    return MinGrabMap(tuple(_layered_labels(g, _vertex_control(g, p0_pawns))))
 
 
 def solve_kgrab_ovpp(g: PawnGame, c: Configuration) -> int:
     """Player 1 wins from ``c`` iff its grab budget covers the vertex's label."""
     validate_configuration(g, c)
     _require_ovpp_kgrab(g)
-    cap = min(g.n, c.grabs_left)
-    eta = _eta_product(g, _vertex_control(g, c.p1_pawns), cap)
+    eta = _layered_labels(g, _vertex_control(g, c.p1_pawns), c.grabs_left)
     return 1 if eta[c.vertex] <= c.grabs_left else 2

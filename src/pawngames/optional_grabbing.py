@@ -82,20 +82,17 @@ def solve_ovpp_optional(g: PawnGame, c: Configuration) -> OptionalGrabbingResult
     out_b = list(out_w)               # successors outside B
     in_w = [False] * n
     in_b = [False] * n
-    border = 0
     closable: set[int] = set()   # not in W, every successor in W
     bclosable: set[int] = set()  # in B, every successor in B | W
     forceable: set[int] = set()  # not in W or p0, every successor in B
 
     def absorb(u: int) -> None:
-        nonlocal border
         in_w[u] = True
         closable.discard(u)
         forceable.discard(u)
         if in_b[u]:
             # u moves from B to W: B | W is unchanged, B loses u
             in_b[u] = False
-            border -= 1
             bclosable.discard(u)
             for p in pred[u]:
                 out_b[p] += 1
@@ -114,7 +111,6 @@ def solve_ovpp_optional(g: PawnGame, c: Configuration) -> OptionalGrabbingResult
             if not in_b[p]:
                 # p now has a successor in W, so it joins B (and B | W)
                 in_b[p] = True
-                border += 1
                 if out_bw[p] == 0:
                     bclosable.add(p)
                 for q in pred[p]:
@@ -141,8 +137,6 @@ def solve_ovpp_optional(g: PawnGame, c: Configuration) -> OptionalGrabbingResult
         if closable:
             absorb_round("closure", frozenset(closable))
             continue
-        if not border:
-            return OptionalGrabbingResult(2, trace)
         if in_b[v0] and v0 in p0:
             trace.append(LevelTrace("initial-on-border"))
             return OptionalGrabbingResult(1, trace)
