@@ -45,6 +45,7 @@ from .optional_grabbing import solve_ovpp_optional
 from .oracle import (
     AllConfigurations,
     expand_game,
+    solve_exact,
     solve_explicit,
     witness_play,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "reduce_grab_or_give",
     "serialize_game",
     "serialize_lockkey",
+    "solve_exact",
     "solve_explicit",
     "solve_grab_or_give",
     "solve_kgrab_dfs",

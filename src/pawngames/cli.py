@@ -42,7 +42,7 @@ from .lockkey import (
 )
 from .model import GrabRule, Mechanism, OwnershipKind, classify
 from .optional_grabbing import solve_ovpp_optional
-from .oracle import DEFAULT_BUDGET, expand_game, solve_explicit, witness_play
+from .oracle import DEFAULT_BUDGET, expand_game, solve_exact
 from .turnbased import serialize_tbgame
 
 
@@ -88,6 +88,7 @@ def cmd_solve(args) -> int:
     t0 = time.monotonic()
     algo = None
     states = game.n
+    route = None
     witness_steps = None
 
     if args.algo in ("auto", "specialized"):
@@ -103,25 +104,23 @@ def cmd_solve(args) -> int:
         algo = "explicit"
         if args.algo == "auto":
             print("fallback: explicit", file=sys.stderr)
-        result = solve_explicit(game, config, budget=args.budget)
-        winner = result.winner
-        states = result.num_states
-        if args.witness:
-            witness_steps = witness_play(game, result)
-
-    if args.witness and witness_steps is None:
+    elif args.witness and witness_steps is None:
         # the polynomial solvers return bare winners; replay the oracle
         print("witness: explicit oracle replay", file=sys.stderr)
-        result = solve_explicit(game, config, budget=args.budget)
-        states = result.num_states
-        witness_steps = witness_play(game, result)
+    if algo == "explicit" or (args.witness and witness_steps is None):
+        exact = solve_exact(game, config, budget=args.budget)
+        if algo == "explicit":
+            winner = exact.winner
+        states, route = exact.states, exact.route
+        if args.witness:
+            witness_steps = exact.witness()
 
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     if args.json:
         print(json.dumps({
             "winner": winner,
             "algo": algo,
-            "stats": {"states": states, "time-ms": elapsed_ms},
+            "stats": {"states": states, "route": route, "time-ms": elapsed_ms},
         }))
     else:
         print(f"winner: {winner}")

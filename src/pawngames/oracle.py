@@ -16,12 +16,26 @@ approximation.
 graph: each vertex keeps one integer of ``2**d`` bits, one per pawn set,
 and the exchanges act on whole integers by shifts and masks.  It shares no
 code with the expansion or the attractor, so each can check the other.
+Each table also keeps its log of changes; a change's *stamp* is its
+position in the log, and a configuration's *rank* is the stamp of the
+change that first wins it (under k-grabbing, the pair of grabs left and
+stamp).  A change reads only earlier stamps, so a won configuration
+always has a move to lower ranks, and ``AllConfigurations.witness`` reads
+plays off the ranks.
+
+``solve_exact`` is the one exact route for rooted queries.  It races the
+two: the lazy expansion runs first, under a share (``LAZY_SHARE``) of the
+sweep's ``n * 2**d * (k+1)`` configurations, and the sweep takes over when
+that budget runs out.  The lazy route wins where the reachable slice is a
+small part of the ``2**d`` cube, the sweep wherever it is not.
+``solve_explicit`` stays the pure lazy route.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetExceededError, ValidationError
 from .model import Configuration, GrabRule, PawnGame, validate_configuration
@@ -29,7 +43,17 @@ from .turnbased import TurnBasedGame, attract
 
 DEFAULT_BUDGET = 50_000_000
 
+# share of the sweep's n * 2**d * (k+1) configurations that the lazy route
+# may expand before ``solve_exact`` switches to the sweep.  A lazy state
+# costs as much as 1,000-3,000 swept configurations, so on a game that ends
+# up swept the lazy prefix adds a quarter to two fifths of the sweep's time
+# (measured on the 16- and 18-vertex games of BENCH_exact_race.json)
+LAZY_SHARE = 1 / 1024
+
 _NO_R = -1
+
+# the rank of a configuration Player 1 does not win: above every real rank
+_UNRANKED = (float("inf"), 0)
 
 
 def _owner_masks(g: PawnGame) -> list[int]:
@@ -286,6 +310,10 @@ def solve_explicit(
     """Decide the winner from ``c`` via the explicit configuration graph."""
     validate_configuration(g, c)
     _estimate_states(g, c, budget)
+    return _solve_lazy(g, c, budget)
+
+
+def _solve_lazy(g: PawnGame, c: Configuration, budget: int) -> ExplicitResult:
     pmask = _mask(c.p1_pawns)
     r = c.grabs_left if c.grabs_left is not None else _NO_R
     sg, roots = _expand(g, [(c.vertex, pmask, r)], budget,
@@ -293,6 +321,56 @@ def solve_explicit(
     in_region, level = attract(sg.succ, sg.side, sg.target)
     winner = 1 if in_region[roots[0]] else 2
     return ExplicitResult(winner, len(sg), sg, roots[0], in_region, level)
+
+
+@dataclass
+class ExactResult:
+    """Winner of ``solve_exact``, the route that decided it (``"lazy"`` or
+    ``"sweep"``) and the work done: lazy states, plus every configuration
+    of the sweep if it ran."""
+
+    winner: int
+    route: str
+    states: int
+    _game: PawnGame
+    _config: Configuration
+    _solved: ExplicitResult | AllConfigurations
+
+    def witness(self) -> list[tuple]:
+        """The winner's play against a delaying adversary, in
+        ``witness_play``'s steps."""
+        if self.route == "lazy":
+            return witness_play(self._game, self._solved)
+        c = self._config
+        return self._solved.witness(c.vertex, c.p1_pawns, c.grabs_left)
+
+
+def solve_exact(
+    g: PawnGame, c: Configuration, budget: int = DEFAULT_BUDGET
+) -> ExactResult:
+    """Decide the winner from ``c``, racing the lazy route against the sweep.
+
+    The lazy expansion may spend ``LAZY_SHARE`` of the sweep's size; past
+    that, the sweep decides, provided it fits ``budget``.  A sweep that
+    does not fit leaves the lazy route the whole budget.
+    """
+    validate_configuration(g, c)
+    _estimate_states(g, c, budget)
+    layers = g.mechanism.k + 1 if g.mechanism.rule is GrabRule.K_GRABBING else 1
+    # as in AllConfigurations, 2**d is never built past the budget's length
+    fits = g.d <= budget.bit_length() and g.n * layers << g.d <= budget
+    size = g.n * layers << g.d if fits else None
+    try:
+        lazy = _solve_lazy(
+            g, c, min(budget, int(size * LAZY_SHARE)) if fits else budget
+        )
+    except BudgetExceededError as err:
+        if not fits:
+            raise
+        sweep = AllConfigurations(g, budget)
+        winner = sweep.winner(c.vertex, c.p1_pawns, c.grabs_left)
+        return ExactResult(winner, "sweep", err.estimate + size, g, c, sweep)
+    return ExactResult(lazy.winner, "lazy", lazy.num_states, g, c, lazy)
 
 
 def _pawn_masks(d: int) -> list[int]:
@@ -371,6 +449,7 @@ class AllConfigurations:
                 return g1, g2
 
         self._tables: list[list[int]] = []
+        self._logs: list[list[tuple[int, int]]] = []
         for _ in range(layers):
             if rule is GrabRule.K_GRABBING:
                 # Player 1 decides every exchange: keep the budget, or grab
@@ -381,19 +460,98 @@ class AllConfigurations:
                 def gate(v: int, w: int, below=below) -> tuple[int, int]:
                     w |= below[v]
                     return w, w
-            self._tables.append(_least_fixpoint(g, mover, full, gate))
+            table, log = _least_fixpoint(g, mover, full, gate)
+            self._tables.append(table)
+            self._logs.append(log)
 
     def winner(self, v: int, p1_pawns: frozenset[int], grabs_left: int | None = None) -> int:
         validate_configuration(self.game, Configuration(v, p1_pawns, grabs_left))
         table = self._tables[grabs_left or 0]
         return 1 if table[v] >> _mask(p1_pawns) & 1 else 2
 
+    def witness(self, v: int, p1_pawns: frozenset[int],
+                grabs_left: int | None = None) -> list[tuple]:
+        """The winner's play from a configuration, in ``witness_play``'s
+        steps, read off the ranks.
 
-def _least_fixpoint(g: PawnGame, mover: list[int], full: int, gate) -> list[int]:
+        When Player 1 wins, he steps to the option of lowest rank and
+        Player 2 delays by taking the highest, so ranks fall until a
+        target.  When Player 2 wins, she stays outside Player 1's region
+        until a configuration repeats, which ends the play in ``cycle``.
+        """
+        g = self.game
+        winner = self.winner(v, p1_pawns, grabs_left)
+        rule = g.mechanism.rule
+        kgrab = rule is GrabRule.K_GRABBING
+        omask = _owner_masks(g)
+        pawn_bits = [1 << j for j in range(g.d)]
+        # each vertex's (stamp, win) history per grab layer; targets are
+        # won from stamp 0
+        history = [[[(0, w)] if u in g.targets else []
+                    for u, w in enumerate(table)] for table in self._tables]
+        for layer, log in zip(history, self._logs):
+            for stamp, (u, w) in enumerate(log, 1):
+                layer[u].append((stamp, w))
+
+        def score(u: int, p: int, r: int):
+            if not self._tables[r][u] >> p & 1:
+                return _UNRANKED if winner == 1 else 0
+            if winner == 2:
+                return 1
+            # bits are only ever added: bisect for the first entry with p
+            entries = history[r][u]
+            lo, hi = 0, len(entries) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if entries[mid][1] >> p & 1:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return r, entries[lo][0]
+
+        def exchanges(p: int, r: int, chooser: int) -> list[tuple[int, int]]:
+            # (pawn set, grabs left) after each exchange the chooser may pick
+            if kgrab:
+                return [(p, r)] + [(p | b, r - 1) for b in pawn_bits
+                                   if r > 0 and not p & b]
+            if rule is GrabRule.GRAB_OR_GIVE:
+                return [(p ^ b, r) for b in pawn_bits]
+            out = [(p, r)] if rule is GrabRule.OPTIONAL else []
+            if chooser == 1:
+                return out + [(p | b, r) for b in pawn_bits if not p & b]
+            return out + [(p & ~b, r) for b in pawn_bits if p & b]
+
+        def pick(player: int, scored: list[tuple]) -> tuple:
+            # the winner takes the lowest score, the loser the highest
+            return (min if player == winner else max)(scored, key=itemgetter(0))
+
+        p, r = _mask(p1_pawns), grabs_left or 0
+        steps: list[tuple] = []
+        seen = set()
+        while v not in g.targets and (v, p, r) not in seen:
+            seen.add((v, p, r))
+            mover = 1 if omask[v] & p else 2
+            chooser = 1 if kgrab else 3 - mover
+            replies = [pick(chooser, [(score(u, q, s), (u, q, s))
+                                      for q, s in exchanges(p, r, chooser)])
+                       for u in g.succ[v]]
+            _, (u, q, s) = pick(mover, replies)
+            steps += [("move", u), _exchange_step(g, mover, p, q)]
+            v, p, r = u, q, s
+        if v not in g.targets:
+            steps.append(("cycle",))
+        return steps
+
+
+def _least_fixpoint(
+    g: PawnGame, mover: list[int], full: int, gate
+) -> tuple[list[int], list[tuple[int, int]]]:
     """One table of ``AllConfigurations``, raised from zero by a worklist.
 
     The right-hand side is monotone, so every change adds bits and the
-    worklist stops at the least solution: Player 1's attractor.
+    worklist stops at the least solution: Player 1's attractor.  Returns
+    the table and its log of changes ``(v, win[v])``; a change's stamp is
+    its position in the log, plus one.
     """
     targets = g.targets
     pred: list[list[int]] = [[] for _ in range(g.n)]
@@ -401,6 +559,7 @@ def _least_fixpoint(g: PawnGame, mover: list[int], full: int, gate) -> list[int]
         if u not in targets:
             pred[v].append(u)
     win = [full if v in targets else 0 for v in range(g.n)]
+    log = []
     gates = [gate(v, w) for v, w in enumerate(win)]
     queued = [v not in targets for v in range(g.n)]
     queue = deque(v for v in range(g.n) if queued[v])
@@ -417,12 +576,13 @@ def _least_fixpoint(g: PawnGame, mover: list[int], full: int, gate) -> list[int]
         w = (m & some) | (every & ~m)
         if w != win[v]:
             win[v] = w
+            log.append((v, w))
             gates[v] = gate(v, w)
             for p in pred[v]:
                 if not queued[p]:
                     queued[p] = True
                     queue.append(p)
-    return win
+    return win, log
 
 
 def _mask(pawns: frozenset[int]) -> int:

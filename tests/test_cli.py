@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pawngames.cli import main
+from pawngames.crossval import check_play
 from pawngames.gamefile import parse_game, serialize_game
 from pawngames.generators import gen_random_pawngame, serialize_atm
 from pawngames.lockkey import parse_lockkey
@@ -39,6 +40,44 @@ def test_solve_json_envelope(capsys):
     assert payload["algo"] == "explicit"
     assert payload["stats"]["states"] > 0
     assert "time-ms" in payload["stats"]
+
+
+def test_solve_json_names_the_exact_route_and_its_work(capsys):
+    # a reachable slice of 26 states stays lazy
+    code, out, _ = run(capsys, "solve", str(DATA / "sparse_tb8_5.pawngame"),
+                       "--algo", "explicit", "--json")
+    stats = json.loads(out)["stats"]
+    assert (code, stats["route"], stats["states"]) == (0, "lazy", 26)
+    # a dense one runs out of its lazy share (n * 2^d / 1024 states) and is
+    # swept: the states count the lazy prefix and every configuration
+    code, out, _ = run(capsys, "solve", str(DATA / "heavy_tb7_90.pawngame"),
+                       "--algo", "explicit", "--json")
+    payload = json.loads(out)
+    assert (code, payload["winner"]) == (0, 2)
+    size = 16 << 16
+    assert payload["stats"]["route"] == "sweep"
+    assert size + size // 1024 < payload["stats"]["states"] < size + size // 512
+    # a polynomial solver runs no exact route
+    code, out, _ = run(capsys, "solve", G1, "--json")
+    payload = json.loads(out)
+    assert (payload["algo"], payload["stats"]["route"]) == ("alg1", None)
+
+
+def test_swept_witness_is_printed_and_refereed(capsys):
+    path = DATA / "heavy_tb7_90.pawngame"
+    code, out, _ = run(capsys, "solve", str(path), "--algo", "explicit",
+                       "--witness")
+    lines = out.strip().splitlines()
+    assert (code, lines[0], lines[-1]) == (0, "winner: 2", "cycle")
+    game, config = parse_game(path.read_bytes())
+    steps = []
+    for line in lines[1:-1]:
+        kind, *arg = line.split()
+        if kind == "move":
+            steps.append(("move", game.names.index(arg[0])))
+        else:
+            steps.append((kind, *map(int, arg)))
+    assert check_play(game, config, steps + [("cycle",)], 2) is None
 
 
 def test_solve_witness_replay(capsys):

@@ -19,11 +19,13 @@ from pawngames import (
     attract,
     expand_game,
     parse_game,
+    solve_exact,
     solve_explicit,
     solve_turnbased,
     tb_to_optional,
     witness_play,
 )
+from pawngames.crossval import check_play
 from pawngames.generators import gen_random_pawngame, gen_random_turnbased
 from pawngames.oracle import _NO_R, _expand, _unmask
 
@@ -251,3 +253,17 @@ def test_sweep_budget_and_grab_budget_lookups():
     for bad in (None, -1, 3):
         with pytest.raises(ValidationError):
             oracle.winner(0, frozenset(), bad)
+
+
+def test_exact_route_stays_lazy_when_the_sweep_does_not_fit():
+    # one grab left among 40 pawns: the lazy slice holds the sets within one
+    # grab of the start, while the sweep's 42 * 2^40 * 2 configurations are
+    # far past the budget, so the lazy route gets the whole budget
+    game, config = gen_random_pawngame(
+        42, 40, OwnershipKind.MVPP, Mechanism.k_grabbing(1), 5
+    )
+    result = solve_exact(game, config)
+    assert result.route == "lazy"
+    lazy = solve_explicit(game, config)
+    assert (result.winner, result.states) == (lazy.winner, lazy.num_states)
+    assert check_play(game, config, result.witness(), result.winner) is None

@@ -8,12 +8,15 @@ from collections import Counter
 
 from pawngames import (
     AllConfigurations,
+    Configuration,
     GrabRule,
     Mechanism,
     OwnershipKind,
+    solve_exact,
     solve_explicit,
     witness_play,
 )
+from pawngames import oracle
 from pawngames.crossval import check_play
 from pawngames.generators import gen_random_pawngame
 
@@ -47,6 +50,41 @@ def test_winning_witnesses_reach_a_target_legally():
         assert check_play(game, config, steps, winner) is None, steps
         wins += winner == 1
     assert wins > 20
+
+
+def test_both_routes_of_the_race_give_refereed_witnesses(monkeypatch):
+    # a lazy share of 0 sends every start that needs a second state to the
+    # sweep, a huge one keeps every start lazy; the sweep's witnesses are
+    # read off its ranks, the lazy route's off attractor levels
+    rng = random.Random(74)
+    seen = Counter()
+    for i in range(120):
+        kind = rng.choice(list(OwnershipKind))
+        n = rng.randint(3, 6)
+        d = {OwnershipKind.OVPP: n, OwnershipKind.MVPP: rng.randint(2, n - 1),
+             OwnershipKind.OMVPP: rng.randint(2, 5)}[kind]
+        mech = [Mechanism.optional(), Mechanism.always(),
+                Mechanism.grab_or_give(),
+                Mechanism.k_grabbing(rng.randint(1, 2))][i % 4]
+        game, config = gen_random_pawngame(n, d, kind, mech, 91_000 + i)
+        assert config.grabs_left is None or config.grabs_left > 0
+        for v in sorted(set(range(n)) - game.targets):
+            for pawns in (config.p1_pawns, frozenset()):
+                start = Configuration(v, pawns, config.grabs_left)
+                winners = set()
+                for share, route in ((0, "sweep"), (1e9, "lazy")):
+                    monkeypatch.setattr(oracle, "LAZY_SHARE", share)
+                    result = solve_exact(game, start)
+                    steps = result.witness()
+                    note = check_play(game, start, steps, result.winner)
+                    assert note is None, (result.route, note, steps)
+                    winners.add(result.winner)
+                    seen[route, result.route, mech.rule, result.winner] += 1
+                assert len(winners) == 1
+    assert not any(asked == "lazy" != got for asked, got, _, _ in seen)
+    for rule in GrabRule:
+        for w in (1, 2):
+            assert seen["sweep", "sweep", rule, w] >= 10, seen
 
 
 def faults(game, config, steps):
