@@ -14,20 +14,20 @@ approximation.
 
 ``AllConfigurations`` decides every configuration without building the
 graph: each vertex keeps one integer of ``2**d`` bits, one per pawn set,
-and the exchanges act on whole integers by shifts and masks.  It shares no
-code with the expansion or the attractor, so each can check the other.
-Each table also keeps its log of changes; a change's *stamp* is its
+and the exchanges act on whole integers by shifts and masks.  Its verdicts
+share no code with the expansion or the attractor, so each can check the
+other; its witnesses take their exchange options from the expansion's
+``_exchange_options``.  For a witness, ``AllConfigurations.witness`` runs
+the fixpoint again with a log of its changes: a change's *stamp* is its
 position in the log, and a configuration's *rank* is the stamp of the
 change that first wins it (under k-grabbing, the pair of grabs left and
-stamp).  A change reads only earlier stamps, so a won configuration
-always has a move to lower ranks, and ``AllConfigurations.witness`` reads
-plays off the ranks.
+stamp).  A change reads only earlier stamps, so a won configuration always
+has a move to lower ranks.
 
-``solve_exact`` is the one exact route for rooted queries.  It races the
-two: the lazy expansion runs first, under a share (``LAZY_SHARE``) of the
-sweep's ``n * 2**d * (k+1)`` configurations, and the sweep takes over when
-that budget runs out.  The lazy route wins where the reachable slice is a
-small part of the ``2**d`` cube, the sweep wherever it is not.
+``solve_exact`` is the one exact route for rooted queries: the sweep when
+its ``n * 2**d * (k+1)`` configurations fit the budget, else the lazy
+expansion under the whole budget (k-grabbing games with many pawns, whose
+slice is only the sets within ``grabs_left`` grabs of the start).
 ``solve_explicit`` stays the pure lazy route.
 """
 
@@ -42,13 +42,6 @@ from .model import Configuration, GrabRule, PawnGame, validate_configuration
 from .turnbased import TurnBasedGame, attract
 
 DEFAULT_BUDGET = 50_000_000
-
-# share of the sweep's n * 2**d * (k+1) configurations that the lazy route
-# may expand before ``solve_exact`` switches to the sweep.  A lazy state
-# costs as much as 1,000-3,000 swept configurations, so on a game that ends
-# up swept the lazy prefix adds a quarter to two fifths of the sweep's time
-# (measured on the 16- and 18-vertex games of BENCH_exact_race.json)
-LAZY_SHARE = 1 / 1024
 
 _NO_R = -1
 
@@ -87,6 +80,39 @@ def _estimate_states(g: PawnGame, c: Configuration, budget: int) -> None:
     estimate = configs * (1 + max(len(s) for s in g.succ))
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
+
+
+def _exchange_options(rule: GrabRule):
+    """``options(p, r, chooser, allowed)``: the (pawn mask, grabs left)
+    after each exchange the chooser may pick once the token has moved, from
+    pawn mask ``p`` with ``r`` grabs left, in increasing pawn order.
+
+    Only pawns in ``allowed`` change hands.  Under k-grabbing Player 1
+    chooses: keep the budget, or grab a pawn for one grab.  Grab-or-give
+    flips one pawn.  Otherwise the player who did not move chooses, with a
+    no-exchange option under optional grabbing: Player 1 grabs a pawn,
+    Player 2 takes one back.
+    """
+    kgrab = rule is GrabRule.K_GRABBING
+    gog = rule is GrabRule.GRAB_OR_GIVE
+    keep = kgrab or rule is GrabRule.OPTIONAL
+
+    def options(p: int, r: int, chooser: int,
+                allowed: int) -> list[tuple[int, int]]:
+        out = [(p, r)] if keep else []
+        if kgrab:
+            rest, r = (allowed & ~p if r > 0 else 0), r - 1
+        elif gog:
+            rest = allowed
+        else:
+            rest = allowed & ~p if chooser == 1 else allowed & p
+        while rest:
+            bit = rest & -rest
+            out.append((p ^ bit, r))
+            rest ^= bit
+        return out
+
+    return options
 
 
 class _StateGraph:
@@ -174,13 +200,12 @@ def _expand(
     rule = g.mechanism.rule
     omask = _owner_masks(g)
     full = (1 << g.d) - 1
-    pawn_bits = [1 << j for j in range(g.d)]
     n = g.n
     succ_of = g.succ
     targets = g.targets
     kgrab = rule is GrabRule.K_GRABBING
     optional = rule is GrabRule.OPTIONAL
-    gog = rule is GrabRule.GRAB_OR_GIVE
+    exchange_options = _exchange_options(rule)
 
     hopeful = set(range(n))
     if prune_hopeless:
@@ -255,40 +280,12 @@ def _expand(
             _, u, parent = state
             _, v, pmask, r = states[parent]
             out = succ[sid]
-            if kgrab:
-                out.append(config_id(u, pmask, r))
-                if r > 0:
-                    rest = (live[u] if project else full) & ~pmask
-                    while rest:
-                        bit = rest & -rest
-                        out.append(config_id(u, pmask | bit, r - 1))
-                        rest ^= bit
-            elif gog:
-                for bit in pawn_bits:
-                    if pmask & bit:
-                        out.append(config_id(u, pmask & ~bit, r))
-                    else:
-                        out.append(config_id(u, pmask | bit, r))
-            else:
-                if optional:
-                    out.append(config_id(u, pmask, r))
-                if side[parent] == 1:
-                    grabbable = pmask
-                else:
-                    grabbable = full & ~pmask
-                if project:
-                    grabbable &= live[u]
-                taking = side[parent] == 1
-                while grabbable:
-                    bit = grabbable & -grabbable
-                    out.append(config_id(
-                        u, pmask & ~bit if taking else pmask | bit, r
-                    ))
-                    grabbable ^= bit
-                if not out:
-                    raise ValidationError(
-                        "always-grabbing intermediate with no exchange option"
-                    )
+            for q, s in exchange_options(pmask, r, side[sid], live[u]):
+                out.append(config_id(u, q, s))
+            if not out:
+                raise ValidationError(
+                    "always-grabbing intermediate with no exchange option"
+                )
     return sg, root_ids
 
 
@@ -326,8 +323,8 @@ def _solve_lazy(g: PawnGame, c: Configuration, budget: int) -> ExplicitResult:
 @dataclass
 class ExactResult:
     """Winner of ``solve_exact``, the route that decided it (``"lazy"`` or
-    ``"sweep"``) and the work done: lazy states, plus every configuration
-    of the sweep if it ran."""
+    ``"sweep"``) and the work done: the lazy states, or every configuration
+    of the sweep."""
 
     winner: int
     route: str
@@ -348,29 +345,17 @@ class ExactResult:
 def solve_exact(
     g: PawnGame, c: Configuration, budget: int = DEFAULT_BUDGET
 ) -> ExactResult:
-    """Decide the winner from ``c``, racing the lazy route against the sweep.
-
-    The lazy expansion may spend ``LAZY_SHARE`` of the sweep's size; past
-    that, the sweep decides, provided it fits ``budget``.  A sweep that
-    does not fit leaves the lazy route the whole budget.
-    """
+    """Decide the winner from ``c`` by the sweep when it fits ``budget``;
+    a sweep that does not fit leaves the lazy route the whole budget."""
     validate_configuration(g, c)
     _estimate_states(g, c, budget)
-    layers = g.mechanism.k + 1 if g.mechanism.rule is GrabRule.K_GRABBING else 1
-    # as in AllConfigurations, 2**d is never built past the budget's length
-    fits = g.d <= budget.bit_length() and g.n * layers << g.d <= budget
-    size = g.n * layers << g.d if fits else None
     try:
-        lazy = _solve_lazy(
-            g, c, min(budget, int(size * LAZY_SHARE)) if fits else budget
-        )
-    except BudgetExceededError as err:
-        if not fits:
-            raise
         sweep = AllConfigurations(g, budget)
-        winner = sweep.winner(c.vertex, c.p1_pawns, c.grabs_left)
-        return ExactResult(winner, "sweep", err.estimate + size, g, c, sweep)
-    return ExactResult(lazy.winner, "lazy", lazy.num_states, g, c, lazy)
+    except BudgetExceededError:
+        lazy = _solve_lazy(g, c, budget)
+        return ExactResult(lazy.winner, "lazy", lazy.num_states, g, c, lazy)
+    winner = sweep.winner(c.vertex, c.p1_pawns, c.grabs_left)
+    return ExactResult(winner, "sweep", sweep.size, g, c, sweep)
 
 
 def _pawn_masks(d: int) -> list[int]:
@@ -406,9 +391,17 @@ class AllConfigurations:
         layers = g.mechanism.k + 1 if rule is GrabRule.K_GRABBING else 1
         if g.d > budget.bit_length():
             raise BudgetExceededError(None, budget, bits=g.d + 1)
-        size = g.n * (1 << g.d) * layers
-        if size > budget:
-            raise BudgetExceededError(size, budget)
+        self.size = g.n * (1 << g.d) * layers
+        if self.size > budget:
+            raise BudgetExceededError(self.size, budget)
+        self._tables = self._sweep(layers)
+
+    def _sweep(self, layers: int,
+               logs: list[list[tuple[int, int]]] | None = None) -> list[list[int]]:
+        """The tables of grab layers ``0 .. layers - 1``; given ``logs``,
+        each layer's fixpoint logs its changes into its own list."""
+        g = self.game
+        rule = g.mechanism.rule
         full = (1 << (1 << g.d)) - 1
         masks = _pawn_masks(g.d)
         pawns = [(m, full ^ m, 1 << j) for j, m in enumerate(masks)]
@@ -448,21 +441,21 @@ class AllConfigurations:
                     g2 &= flip
                 return g1, g2
 
-        self._tables: list[list[int]] = []
-        self._logs: list[list[tuple[int, int]]] = []
-        for _ in range(layers):
+        tables: list[list[int]] = []
+        for layer in range(layers):
             if rule is GrabRule.K_GRABBING:
                 # Player 1 decides every exchange: keep the budget, or grab
                 # a pawn and land in the layer below
-                below = ([grab(w) for w in self._tables[-1]]
-                         if self._tables else [0] * g.n)
+                below = ([grab(w) for w in tables[-1]]
+                         if tables else [0] * g.n)
 
                 def gate(v: int, w: int, below=below) -> tuple[int, int]:
                     w |= below[v]
                     return w, w
-            table, log = _least_fixpoint(g, mover, full, gate)
-            self._tables.append(table)
-            self._logs.append(log)
+            tables.append(_least_fixpoint(
+                g, mover, full, gate, logs[layer] if logs else None
+            ))
+        return tables
 
     def winner(self, v: int, p1_pawns: frozenset[int], grabs_left: int | None = None) -> int:
         validate_configuration(self.game, Configuration(v, p1_pawns, grabs_left))
@@ -481,59 +474,42 @@ class AllConfigurations:
         """
         g = self.game
         winner = self.winner(v, p1_pawns, grabs_left)
-        rule = g.mechanism.rule
-        kgrab = rule is GrabRule.K_GRABBING
+        kgrab = g.mechanism.rule is GrabRule.K_GRABBING
+        exchange_options = _exchange_options(g.mechanism.rule)
         omask = _owner_masks(g)
-        pawn_bits = [1 << j for j in range(g.d)]
-        # each vertex's (stamp, win) history per grab layer; targets are
-        # won from stamp 0
-        history = [[[(0, w)] if u in g.targets else []
-                    for u, w in enumerate(table)] for table in self._tables]
-        for layer, log in zip(history, self._logs):
-            for stamp, (u, w) in enumerate(log, 1):
-                layer[u].append((stamp, w))
+        every_pawn = (1 << g.d) - 1
+        p, r = _mask(p1_pawns), grabs_left or 0
+        history = self._history(r + 1) if winner == 1 else None
 
-        def score(u: int, p: int, r: int):
-            if not self._tables[r][u] >> p & 1:
+        def score(u: int, q: int, s: int):
+            if not self._tables[s][u] >> q & 1:
                 return _UNRANKED if winner == 1 else 0
             if winner == 2:
                 return 1
-            # bits are only ever added: bisect for the first entry with p
-            entries = history[r][u]
+            # bits are only ever added: bisect for the first entry with q
+            entries = history[s][u]
             lo, hi = 0, len(entries) - 1
             while lo < hi:
                 mid = (lo + hi) // 2
-                if entries[mid][1] >> p & 1:
+                if entries[mid][1] >> q & 1:
                     hi = mid
                 else:
                     lo = mid + 1
-            return r, entries[lo][0]
-
-        def exchanges(p: int, r: int, chooser: int) -> list[tuple[int, int]]:
-            # (pawn set, grabs left) after each exchange the chooser may pick
-            if kgrab:
-                return [(p, r)] + [(p | b, r - 1) for b in pawn_bits
-                                   if r > 0 and not p & b]
-            if rule is GrabRule.GRAB_OR_GIVE:
-                return [(p ^ b, r) for b in pawn_bits]
-            out = [(p, r)] if rule is GrabRule.OPTIONAL else []
-            if chooser == 1:
-                return out + [(p | b, r) for b in pawn_bits if not p & b]
-            return out + [(p & ~b, r) for b in pawn_bits if p & b]
+            return s, entries[lo][0]
 
         def pick(player: int, scored: list[tuple]) -> tuple:
             # the winner takes the lowest score, the loser the highest
             return (min if player == winner else max)(scored, key=itemgetter(0))
 
-        p, r = _mask(p1_pawns), grabs_left or 0
         steps: list[tuple] = []
         seen = set()
         while v not in g.targets and (v, p, r) not in seen:
             seen.add((v, p, r))
             mover = 1 if omask[v] & p else 2
             chooser = 1 if kgrab else 3 - mover
+            options = exchange_options(p, r, chooser, every_pawn)
             replies = [pick(chooser, [(score(u, q, s), (u, q, s))
-                                      for q, s in exchanges(p, r, chooser)])
+                                      for q, s in options])
                        for u in g.succ[v]]
             _, (u, q, s) = pick(mover, replies)
             steps += [("move", u), _exchange_step(g, mover, p, q)]
@@ -542,16 +518,34 @@ class AllConfigurations:
             steps.append(("cycle",))
         return steps
 
+    def _history(self, layers: int) -> list[list[list[tuple[int, int]]]]:
+        """Each vertex's ``(stamp, win)`` entries in the grab layers below
+        ``layers``, from a second sweep that logs its changes; targets are
+        won from stamp 0.  Built only while a witness is read, since the
+        log holds one ``2**d``-bit integer per change."""
+        g = self.game
+        logs: list[list[tuple[int, int]]] = [[] for _ in range(layers)]
+        self._sweep(layers, logs)
+        full = (1 << (1 << g.d)) - 1
+        history = []
+        for log in logs:
+            layer = [[(0, full)] if u in g.targets else [] for u in range(g.n)]
+            for stamp, (u, w) in enumerate(log, 1):
+                layer[u].append((stamp, w))
+            history.append(layer)
+        return history
+
 
 def _least_fixpoint(
-    g: PawnGame, mover: list[int], full: int, gate
-) -> tuple[list[int], list[tuple[int, int]]]:
+    g: PawnGame, mover: list[int], full: int, gate,
+    log: list[tuple[int, int]] | None = None,
+) -> list[int]:
     """One table of ``AllConfigurations``, raised from zero by a worklist.
 
     The right-hand side is monotone, so every change adds bits and the
-    worklist stops at the least solution: Player 1's attractor.  Returns
-    the table and its log of changes ``(v, win[v])``; a change's stamp is
-    its position in the log, plus one.
+    worklist stops at the least solution: Player 1's attractor.  Given a
+    ``log``, each change ``(v, win[v])`` is appended to it; a change's stamp
+    is its position in the log, plus one.
     """
     targets = g.targets
     pred: list[list[int]] = [[] for _ in range(g.n)]
@@ -559,7 +553,6 @@ def _least_fixpoint(
         if u not in targets:
             pred[v].append(u)
     win = [full if v in targets else 0 for v in range(g.n)]
-    log = []
     gates = [gate(v, w) for v, w in enumerate(win)]
     queued = [v not in targets for v in range(g.n)]
     queue = deque(v for v in range(g.n) if queued[v])
@@ -576,13 +569,14 @@ def _least_fixpoint(
         w = (m & some) | (every & ~m)
         if w != win[v]:
             win[v] = w
-            log.append((v, w))
+            if log is not None:
+                log.append((v, w))
             gates[v] = gate(v, w)
             for p in pred[v]:
                 if not queued[p]:
                     queued[p] = True
                     queue.append(p)
-    return win, log
+    return win
 
 
 def _mask(pawns: frozenset[int]) -> int:

@@ -43,20 +43,21 @@ def test_solve_json_envelope(capsys):
 
 
 def test_solve_json_names_the_exact_route_and_its_work(capsys):
-    # a reachable slice of 26 states stays lazy
-    code, out, _ = run(capsys, "solve", str(DATA / "sparse_tb8_5.pawngame"),
-                       "--algo", "explicit", "--json")
-    stats = json.loads(out)["stats"]
-    assert (code, stats["route"], stats["states"]) == (0, "lazy", 26)
-    # a dense one runs out of its lazy share (n * 2^d / 1024 states) and is
-    # swept: the states count the lazy prefix and every configuration
+    # the sweep fits the budget: states count its n * 2^d configurations
     code, out, _ = run(capsys, "solve", str(DATA / "heavy_tb7_90.pawngame"),
                        "--algo", "explicit", "--json")
     payload = json.loads(out)
     assert (code, payload["winner"]) == (0, 2)
-    size = 16 << 16
     assert payload["stats"]["route"] == "sweep"
-    assert size + size // 1024 < payload["stats"]["states"] < size + size // 512
+    assert payload["stats"]["states"] == 16 << 16
+    # 30 pawns put the sweep past the budget; the lazy slice within two
+    # grabs of the start is small
+    code, out, _ = run(capsys, "solve", str(DATA / "kgrab_omvpp_30.pawngame"),
+                       "--algo", "explicit", "--json")
+    payload = json.loads(out)
+    assert (code, payload["winner"]) == (0, 1)
+    assert (payload["stats"]["route"], payload["stats"]["states"]) == (
+        "lazy", 116)
     # a polynomial solver runs no exact route
     code, out, _ = run(capsys, "solve", G1, "--json")
     payload = json.loads(out)

@@ -1,11 +1,9 @@
-"""Property test: the race of ``solve_exact`` against the lazy route alone.
+"""Property test: ``solve_exact`` against the lazy route alone.
 
 Hypothesis draws games from the random families that the explicit-oracle
 benchmark solves through the CLI (MVPP and OMVPP under always, optional
-and grab-or-give), at n <= 8.  Their lazy share is at most two states, so
-every draw that the lazy route does not decide within two states (about
-half of them) is decided by the sweep, and ``solve_explicit`` gives the
-independent lazy verdict."""
+and grab-or-give), at n <= 8.  ``solve_exact`` sweeps every one of them,
+and ``solve_explicit`` gives the independent lazy verdict."""
 
 from __future__ import annotations
 
@@ -40,8 +38,9 @@ def explicit_oracle_games(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(explicit_oracle_games())
-def test_race_matches_the_lazy_route(position):
+def test_exact_route_matches_the_lazy_route(position):
     game, config = position
     result = solve_exact(game, config)
+    assert result.route == "sweep"
     assert result.winner == solve_explicit(game, config).winner
     assert check_play(game, config, result.witness(), result.winner) is None

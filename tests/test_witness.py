@@ -16,7 +16,6 @@ from pawngames import (
     solve_explicit,
     witness_play,
 )
-from pawngames import oracle
 from pawngames.crossval import check_play
 from pawngames.generators import gen_random_pawngame
 
@@ -52,10 +51,9 @@ def test_winning_witnesses_reach_a_target_legally():
     assert wins > 20
 
 
-def test_both_routes_of_the_race_give_refereed_witnesses(monkeypatch):
-    # a lazy share of 0 sends every start that needs a second state to the
-    # sweep, a huge one keeps every start lazy; the sweep's witnesses are
-    # read off its ranks, the lazy route's off attractor levels
+def test_sweep_witnesses_pass_the_referee():
+    # every start of these games fits the sweep, so solve_exact reads its
+    # witnesses off the sweep's ranks; the lazy route gives the winner
     rng = random.Random(74)
     seen = Counter()
     for i in range(120):
@@ -71,20 +69,16 @@ def test_both_routes_of_the_race_give_refereed_witnesses(monkeypatch):
         for v in sorted(set(range(n)) - game.targets):
             for pawns in (config.p1_pawns, frozenset()):
                 start = Configuration(v, pawns, config.grabs_left)
-                winners = set()
-                for share, route in ((0, "sweep"), (1e9, "lazy")):
-                    monkeypatch.setattr(oracle, "LAZY_SHARE", share)
-                    result = solve_exact(game, start)
-                    steps = result.witness()
-                    note = check_play(game, start, steps, result.winner)
-                    assert note is None, (result.route, note, steps)
-                    winners.add(result.winner)
-                    seen[route, result.route, mech.rule, result.winner] += 1
-                assert len(winners) == 1
-    assert not any(asked == "lazy" != got for asked, got, _, _ in seen)
+                result = solve_exact(game, start)
+                assert result.route == "sweep"
+                assert result.winner == solve_explicit(game, start).winner
+                steps = result.witness()
+                note = check_play(game, start, steps, result.winner)
+                assert note is None, (note, steps)
+                seen[mech.rule, result.winner] += 1
     for rule in GrabRule:
         for w in (1, 2):
-            assert seen["sweep", "sweep", rule, w] >= 10, seen
+            assert seen[rule, w] >= 10, seen
 
 
 def faults(game, config, steps):
