@@ -90,6 +90,8 @@ def cmd_solve(args) -> int:
     states = game.n
     route = None
     witness_steps = None
+    # JSON output prints no witness, so it reads none
+    witness = args.witness and not args.json
 
     if args.algo in ("auto", "specialized"):
         solved = _specialized(game, config)
@@ -104,15 +106,15 @@ def cmd_solve(args) -> int:
         algo = "explicit"
         if args.algo == "auto":
             print("fallback: explicit", file=sys.stderr)
-    elif args.witness and witness_steps is None:
+    elif witness and witness_steps is None:
         # the polynomial solvers return bare winners; replay the oracle
         print("witness: explicit oracle replay", file=sys.stderr)
-    if algo == "explicit" or (args.witness and witness_steps is None):
+    if algo == "explicit" or (witness and witness_steps is None):
         exact = solve_exact(game, config, budget=args.budget)
         if algo == "explicit":
             winner = exact.winner
         states, route = exact.states, exact.route
-        if args.witness:
+        if witness:
             witness_steps = exact.witness()
 
     elapsed_ms = int((time.monotonic() - t0) * 1000)
@@ -124,7 +126,7 @@ def cmd_solve(args) -> int:
         }))
     else:
         print(f"winner: {winner}")
-    if args.witness and witness_steps is not None and not args.json:
+    if witness and witness_steps is not None:
         _print_witness(game, witness_steps)
     return 0
 

@@ -195,15 +195,15 @@ def check_play(game: PawnGame, config: Configuration, steps,
     and ends as ``winner`` claims.
 
     A round is ``("move", u)`` then ``("nograb",)``, ``("grab", j)`` or
-    ``("give", j)``; ``("cycle",)`` or ``("trapped",)`` may end the play.
-    Player 1's play must end on a target, Player 2's must never visit one.
+    ``("give", j)``; ``("cycle",)`` may end the play.  Player 1's play must
+    end on a target, Player 2's must never visit one.
     """
     rule = game.mechanism.rule
     v, pawns, grabs = config.vertex, set(config.p1_pawns), config.grabs_left
     visited = {v}
     for i in range(0, len(steps), 2):
         move = steps[i]
-        if move[0] in ("cycle", "trapped") and i == len(steps) - 1:
+        if move == ("cycle",) and i == len(steps) - 1:
             break
         if move[0] != "move":
             return f"step {i}: expected a move, got {move}"

@@ -16,13 +16,17 @@ approximation.
 graph: each vertex keeps one integer of ``2**d`` bits, one per pawn set,
 and the exchanges act on whole integers by shifts and masks.  Its verdicts
 share no code with the expansion or the attractor, so each can check the
-other; its witnesses take their exchange options from the expansion's
-``_exchange_options``.  For a witness, ``AllConfigurations.witness`` runs
-the fixpoint again with a log of its changes: a change's *stamp* is its
-position in the log, and a configuration's *rank* is the stamp of the
-change that first wins it (under k-grabbing, the pair of grabs left and
-stamp).  A change reads only earlier stamps, so a won configuration always
-has a move to lower ranks.
+other.
+
+Both routes build witnesses by one walk over the pawn game's own
+configurations, ``_play``; only the *rank* that orders Player 1's region
+differs.  The lazy route ranks by attractor level in its slice.  The sweep
+ranks by *stamp*: ``AllConfigurations.witness`` runs the fixpoint again
+with a log of its changes, and a configuration's stamp is the position of
+the change that first wins it (under k-grabbing, the pair of grabs left
+and stamp).  A won configuration at level L has an option below L, as it
+has one at a lower stamp, so Player 1's play falls to a target; Player 2's
+ends in ``cycle`` once a configuration repeats.
 
 ``solve_exact`` is the one exact route for rooted queries: the sweep when
 its ``n * 2**d * (k+1)`` configurations fit the budget, else the lazy
@@ -44,9 +48,6 @@ from .turnbased import TurnBasedGame, attract
 DEFAULT_BUDGET = 50_000_000
 
 _NO_R = -1
-
-# the rank of a configuration Player 1 does not win: above every real rank
-_UNRANKED = (float("inf"), 0)
 
 
 def _owner_masks(g: PawnGame) -> list[int]:
@@ -116,14 +117,18 @@ def _exchange_options(rule: GrabRule):
 
 
 class _StateGraph:
-    """Interned expansion states with side, target and successor tables."""
+    """Interned expansion states with side, target and successor tables.
 
-    def __init__(self):
+    ``live[u]``: the pawns that may change hands after a move to ``u``;
+    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state."""
+
+    def __init__(self, live: list[int], lookup):
         self.states: list[tuple] = []
         self.side: list[int] = []
         self.target: list[bool] = []
         self.succ: list[list[int]] = []
-        self.live_mask: list[int] | None = None
+        self.live = live
+        self.lookup = lookup
 
     def add(self, state: tuple, side: int, target: bool) -> int:
         sid = len(self.states)
@@ -182,20 +187,18 @@ def _expand(
     g: PawnGame,
     roots: list[tuple[int, int, int]],
     budget: int,
-    prune_hopeless: bool,
-    terminal_targets: bool,
+    faithful: bool,
 ) -> tuple[_StateGraph, list[int]]:
     """Build the reachable slice of the configuration graph from ``roots``.
 
-    Roots are (vertex, pawn mask, grabs-left) triples.  With
-    ``prune_hopeless`` every configuration whose vertex has no graph path to
-    a target collapses into one losing sink, target configurations become
-    terminal when ``terminal_targets`` is set, and under mechanisms with a
-    no-exchange option (optional grabbing, k-grabbing) pawn bits that can
-    no longer decide any future move are projected away: exchanging such a
-    pawn is equivalent to the always-available no-exchange move, so the
-    quotient preserves every winner.  None of this applies to the faithful
-    expansion (both flags off).
+    Roots are (vertex, pawn mask, grabs-left) triples.  Unless ``faithful``,
+    every configuration whose vertex has no graph path to a target
+    collapses into one losing sink, target configurations are terminal, and
+    under mechanisms with a no-exchange option (optional grabbing,
+    k-grabbing) pawn bits that can no longer decide any future move are
+    projected away: exchanging such a pawn is equivalent to the
+    always-available no-exchange move, so the quotient preserves every
+    winner.
     """
     rule = g.mechanism.rule
     omask = _owner_masks(g)
@@ -208,7 +211,7 @@ def _expand(
     exchange_options = _exchange_options(rule)
 
     hopeful = set(range(n))
-    if prune_hopeless:
+    if not faithful:
         hopeful = set(targets)
         pred: list[list[int]] = [[] for _ in range(n)]
         for u, v in g.edges:
@@ -221,22 +224,27 @@ def _expand(
                     hopeful.add(u)
                     stack.append(u)
 
-    project = prune_hopeless and terminal_targets and (optional or kgrab)
-    if project:
+    if not faithful and (optional or kgrab):
         live = _graph_reach_masks(g, hopeful)
     else:
         live = [full] * n
 
-    sg = _StateGraph()
-    sg.live_mask = live
-    states = sg.states
-    side = sg.side
-    succ = sg.succ
     cindex: dict[int, int] = {}
     iindex: dict[tuple[int, int], int] = {}
     loss_id = None
     work: list[int] = []
     span = g.mechanism.k + 2 if kgrab else 1
+
+    def lookup(v: int, pmask: int, r: int) -> int:
+        # the loss sink for a hopeless vertex, else the projected state
+        if v not in hopeful:
+            return loss_id
+        return cindex[((pmask & live[v]) * n + v) * span + r + 1]
+
+    sg = _StateGraph(live, lookup)
+    states = sg.states
+    side = sg.side
+    succ = sg.succ
 
     def config_id(v: int, pmask: int, r: int) -> int:
         nonlocal loss_id
@@ -253,7 +261,7 @@ def _expand(
         tgt = v in targets
         sid = sg.add(("c", v, pmask, r), 1 if omask[v] & pmask else 2, tgt)
         cindex[key] = sid
-        if not (tgt and terminal_targets):
+        if faithful or not tgt:
             work.append(sid)
         return sid
 
@@ -296,7 +304,7 @@ class ExplicitResult:
     winner: int
     num_states: int
     _sg: _StateGraph
-    _init: int
+    _start: tuple[int, int, int]
     _in_region: list[bool]
     _level: list[int]
 
@@ -311,13 +319,12 @@ def solve_explicit(
 
 
 def _solve_lazy(g: PawnGame, c: Configuration, budget: int) -> ExplicitResult:
-    pmask = _mask(c.p1_pawns)
-    r = c.grabs_left if c.grabs_left is not None else _NO_R
-    sg, roots = _expand(g, [(c.vertex, pmask, r)], budget,
-                        prune_hopeless=True, terminal_targets=True)
+    start = (c.vertex, _mask(c.p1_pawns),
+             c.grabs_left if c.grabs_left is not None else _NO_R)
+    sg, roots = _expand(g, [start], budget, faithful=False)
     in_region, level = attract(sg.succ, sg.side, sg.target)
     winner = 1 if in_region[roots[0]] else 2
-    return ExplicitResult(winner, len(sg), sg, roots[0], in_region, level)
+    return ExplicitResult(winner, len(sg), sg, start, in_region, level)
 
 
 @dataclass
@@ -464,28 +471,18 @@ class AllConfigurations:
 
     def witness(self, v: int, p1_pawns: frozenset[int],
                 grabs_left: int | None = None) -> list[tuple]:
-        """The winner's play from a configuration, in ``witness_play``'s
-        steps, read off the ranks.
-
-        When Player 1 wins, he steps to the option of lowest rank and
-        Player 2 delays by taking the highest, so ranks fall until a
-        target.  When Player 2 wins, she stays outside Player 1's region
-        until a configuration repeats, which ends the play in ``cycle``.
-        """
+        """The winner's play from a configuration, ranked by the stamps of
+        a logged second sweep (run only when Player 1 wins); see ``_play``."""
         g = self.game
         winner = self.winner(v, p1_pawns, grabs_left)
-        kgrab = g.mechanism.rule is GrabRule.K_GRABBING
-        exchange_options = _exchange_options(g.mechanism.rule)
-        omask = _owner_masks(g)
-        every_pawn = (1 << g.d) - 1
-        p, r = _mask(p1_pawns), grabs_left or 0
+        r = grabs_left or 0
         history = self._history(r + 1) if winner == 1 else None
 
-        def score(u: int, q: int, s: int):
+        def rank(u: int, q: int, s: int):
             if not self._tables[s][u] >> q & 1:
-                return _UNRANKED if winner == 1 else 0
-            if winner == 2:
-                return 1
+                return None
+            if history is None:
+                return 0
             # bits are only ever added: bisect for the first entry with q
             entries = history[s][u]
             lo, hi = 0, len(entries) - 1
@@ -497,26 +494,8 @@ class AllConfigurations:
                     lo = mid + 1
             return s, entries[lo][0]
 
-        def pick(player: int, scored: list[tuple]) -> tuple:
-            # the winner takes the lowest score, the loser the highest
-            return (min if player == winner else max)(scored, key=itemgetter(0))
-
-        steps: list[tuple] = []
-        seen = set()
-        while v not in g.targets and (v, p, r) not in seen:
-            seen.add((v, p, r))
-            mover = 1 if omask[v] & p else 2
-            chooser = 1 if kgrab else 3 - mover
-            options = exchange_options(p, r, chooser, every_pawn)
-            replies = [pick(chooser, [(score(u, q, s), (u, q, s))
-                                      for q, s in options])
-                       for u in g.succ[v]]
-            _, (u, q, s) = pick(mover, replies)
-            steps += [("move", u), _exchange_step(g, mover, p, q)]
-            v, p, r = u, q, s
-        if v not in g.targets:
-            steps.append(("cycle",))
-        return steps
+        return _play(g, (v, _mask(p1_pawns), r), rank,
+                     [(1 << g.d) - 1] * g.n)
 
     def _history(self, layers: int) -> list[list[list[tuple[int, int]]]]:
         """Each vertex's ``(stamp, win)`` entries in the grab layers below
@@ -597,78 +576,60 @@ def _unmask(m: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def witness_play(g: PawnGame, result: ExplicitResult, max_rounds: int | None = None):
-    """Replay the winner's strategy against a worst-case (delaying) adversary.
+def _play(g: PawnGame, start: tuple[int, int, int], rank,
+          allowed: list[int]) -> list[tuple]:
+    """The winner's play from configuration ``start = (v, p, r)`` against a
+    delaying adversary, as ``("move", u)`` then ``("grab", j)``,
+    ``("give", j)`` or ``("nograb",)`` steps.
 
-    Yields ``("move", v)``, ``("grab", j)``, ``("give", j)`` and
-    ``("nograb",)`` steps; stops on reaching a target (Player 1 wins), on
-    the first repeated state (``("cycle",)``: Player 2 has locked the play
-    into a safe loop) or on leaving the part of the graph from which the
-    targets are reachable at all (``("trapped",)``).
+    ``rank(u, q, s)`` is None outside Player 1's region and falls towards
+    the targets inside it; after a move to ``u`` only pawns in
+    ``allowed[u]`` change hands.  Player 1 takes the option of lowest rank;
+    Player 2 takes one outside the region if she can, else the highest
+    rank.  So when Player 1 wins, ranks fall until a target; when Player 2
+    wins, she stays outside the region until a configuration repeats, which
+    ends the play in ``("cycle",)``.
     """
-    sg, in_region, level = result._sg, result._in_region, result._level
-    winner = result.winner
+    kgrab = g.mechanism.rule is GrabRule.K_GRABBING
+    exchange_options = _exchange_options(g.mechanism.rule)
+    omask = _owner_masks(g)
 
-    def pick(sid: int) -> int:
-        options = sg.succ[sid]
-        deciding = sg.side[sid]
-        if winner == 1:
-            if deciding == 1:
-                best = [u for u in options if in_region[u]]
-                return min(best, key=lambda u: (level[u], u))
-            return max(options, key=lambda u: (level[u], -u))
-        if deciding == 2:
-            best = [u for u in options if not in_region[u]]
-            return min(best)
-        return min(options)
+    def score(u: int, q: int, s: int) -> tuple:
+        level = rank(u, q, s)
+        return level is None, level
 
-    # stored pawn masks are projected, but they agree with the real sets on
-    # every live bit and only live bits are ever exchanged, so comparing
-    # against the parent's mask re-projected at the new vertex recovers the
-    # exchange exactly
-    live = sg.live_mask
+    def pick(player: int, scored: list[tuple]) -> tuple:
+        return (min if player == 1 else max)(scored, key=itemgetter(0))
 
-    steps = []
-    seen = {result._init}
-    sid = result._init
-    rounds = 0
-    while not sg.target[sid] and sg.states[sid][0] != "loss":
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        iid = pick(sid)
-        _, u, _ = sg.states[iid]
-        steps.append(("move", u))
-        nid = pick(iid)
-        _, _, pmask, _ = sg.states[sid]
-        npmask = pmask
-        if sg.states[nid][0] == "c":
-            kept = pmask & live[u]
-            stored = sg.states[nid][2]
-            if stored != kept:
-                bit = stored ^ kept
-                npmask = pmask | bit if stored & bit else pmask & ~bit
-        elif g.mechanism.rule in (GrabRule.ALWAYS, GrabRule.GRAB_OR_GIVE):
-            # the collapsed trap state forgot the mandatory exchange;
-            # restore a concrete legal one (take the mover's lowest pawn)
-            full = (1 << g.d) - 1
-            if sg.side[sid] == 1:
-                bit = pmask & -pmask
-                npmask = pmask & ~bit
-            else:
-                rest = full & ~pmask
-                bit = rest & -rest
-                npmask = pmask | bit
-        steps.append(_exchange_step(g, sg.side[sid], pmask, npmask))
-        sid = nid
-        rounds += 1
-        if sg.states[sid][0] == "loss":
-            steps.append(("trapped",))
-            break
-        if sid in seen:
-            steps.append(("cycle",))
-            break
-        seen.add(sid)
+    v, p, r = start
+    steps: list[tuple] = []
+    seen = set()
+    while v not in g.targets and (v, p, r) not in seen:
+        seen.add((v, p, r))
+        mover = 1 if omask[v] & p else 2
+        chooser = 1 if kgrab else 3 - mover
+        replies = [pick(chooser, [
+            (score(u, q, s), (u, q, s))
+            for q, s in exchange_options(p, r, chooser, allowed[u])
+        ]) for u in g.succ[v]]
+        _, (u, q, s) = pick(mover, replies)
+        steps += [("move", u), _exchange_step(g, mover, p, q)]
+        v, p, r = u, q, s
+    if v not in g.targets:
+        steps.append(("cycle",))
     return steps
+
+
+def witness_play(g: PawnGame, result: ExplicitResult) -> list[tuple]:
+    """The winner's play from the solved configuration, ranked by attractor
+    level in the lazy slice; see ``_play``."""
+    sg, in_region, level = result._sg, result._in_region, result._level
+
+    def rank(u: int, q: int, s: int) -> int | None:
+        sid = sg.lookup(u, q, s)
+        return level[sid] if in_region[sid] else None
+
+    return _play(g, result._start, rank, sg.live)
 
 
 def _exchange_step(g: PawnGame, moved_by: int, pmask: int, npmask: int):
@@ -710,7 +671,7 @@ def expand_game(
     _estimate_states(g, c, budget)
     r = c.grabs_left if c.grabs_left is not None else _NO_R
     sg, _ = _expand(g, [(c.vertex, _mask(c.p1_pawns), r)], budget,
-                    prune_hopeless=False, terminal_targets=False)
+                    faithful=True)
     descs = [describe_state(g, s, sg.states) for s in sg.states]
     order = sorted(range(len(sg)), key=lambda i: descs[i])
     canon = {old: new for new, old in enumerate(order)}

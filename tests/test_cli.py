@@ -14,6 +14,7 @@ from pawngames.gamefile import parse_game, serialize_game
 from pawngames.generators import gen_random_pawngame, serialize_atm
 from pawngames.lockkey import parse_lockkey
 from pawngames.model import GrabRule, Mechanism, OwnershipKind
+from pawngames.oracle import AllConfigurations
 from pawngames.turnbased import parse_tbgame
 
 DATA = Path(__file__).parent / "data"
@@ -62,6 +63,26 @@ def test_solve_json_names_the_exact_route_and_its_work(capsys):
     code, out, _ = run(capsys, "solve", G1, "--json")
     payload = json.loads(out)
     assert (payload["algo"], payload["stats"]["route"]) == ("alg1", None)
+
+
+def test_json_witness_reads_no_witness(capsys, monkeypatch):
+    # JSON prints no witness, so a polynomial answer replays no exact route
+    code, out, err = run(capsys, "solve", G1, "--json", "--witness")
+    payload = json.loads(out)
+    assert (code, payload["algo"], payload["stats"]["route"]) == (
+        0, "alg1", None)
+    assert payload["stats"]["states"] == 4
+    assert "replay" not in err
+
+    def no_history(*_):
+        raise AssertionError("a JSON answer logged a second sweep")
+
+    monkeypatch.setattr(AllConfigurations, "_history", no_history)
+    code, out, _ = run(capsys, "solve", G1, "--algo", "explicit", "--json",
+                       "--witness")
+    payload = json.loads(out)
+    assert (code, payload["winner"], payload["stats"]["route"]) == (
+        0, 1, "sweep")
 
 
 def test_swept_witness_is_printed_and_refereed(capsys):

@@ -283,8 +283,7 @@ def test_compiled_atm_chain_matches_machine_acceptance():
         game, config, _ = lockkey_to_optional(lk, lc)
         root = (config.vertex, sum(1 << j for j in config.p1_pawns), _NO_R)
         try:
-            sg, ids = _expand(game, [root], budget=100_000,
-                              prune_hopeless=True, terminal_targets=True)
+            sg, ids = _expand(game, [root], budget=100_000, faithful=False)
         except BudgetExceededError:
             stopped.add(i)
             continue

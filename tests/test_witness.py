@@ -115,6 +115,8 @@ def faults(game, config, steps):
         if kind == "grab" and grabs is not None:
             grabs -= 1
         v = steps[i][1]
+    if steps[-1:] == [("cycle",)]:
+        yield "trapped ending", steps[:-1] + [("trapped",)]
 
 
 def test_referee_rejects_every_planted_fault():
@@ -125,7 +127,7 @@ def test_referee_rejects_every_planted_fault():
             assert check_play(game, config, play, winner) is not None, (
                 fault, play)
             caught[fault] += 1
-    assert len(caught) == 6 and min(caught.values()) >= 10, caught
+    assert len(caught) == 7 and min(caught.values()) >= 10, caught
 
 
 def test_single_root_and_all_roots_solvers_agree():
