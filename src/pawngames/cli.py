@@ -217,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto")
     p_solve.add_argument("--witness", action="store_true",
                          help="print a witness play")
-    p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=(
+        "64-bit words the exact route may build, not counting the witness "
+        "log; a larger budget decides larger games (default %(default)s)"))
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -231,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         "expand", "grab-or-give", "lockkey-to-optional", "optional-to-always"
     ))
     p_reduce.add_argument("file")
-    p_reduce.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_reduce.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=(
+        "64-bit words of expand, vertices of optional-to-always"))
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_gen = sub.add_parser("gen", help="generate a game instance")

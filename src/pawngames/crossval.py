@@ -195,16 +195,22 @@ def check_play(game: PawnGame, config: Configuration, steps,
     and ends as ``winner`` claims.
 
     A round is ``("move", u)`` then ``("nograb",)``, ``("grab", j)`` or
-    ``("give", j)``; ``("cycle",)`` may end the play.  Player 1's play must
-    end on a target, Player 2's must never visit one.
+    ``("give", j)``; ``("cycle",)`` may end the play once its configuration
+    (vertex, pawn set and grabs left) repeats an earlier one.  Player 1's
+    play must end on a target; Player 2's must never visit one and must end
+    in ``cycle``.
     """
     rule = game.mechanism.rule
     v, pawns, grabs = config.vertex, set(config.p1_pawns), config.grabs_left
     visited = {v}
+    earlier = set()
     for i in range(0, len(steps), 2):
         move = steps[i]
         if move == ("cycle",) and i == len(steps) - 1:
+            if (v, frozenset(pawns), grabs) not in earlier:
+                return f"step {i}: the cycle does not close"
             break
+        earlier.add((v, frozenset(pawns), grabs))
         if move[0] != "move":
             return f"step {i}: expected a move, got {move}"
         if (v, move[1]) not in game.edges:
@@ -240,6 +246,8 @@ def check_play(game: PawnGame, config: Configuration, steps,
         return "Player 1's play does not end on a target"
     if winner == 2 and visited & game.targets:
         return "Player 2's play visits a target"
+    if winner == 2 and steps[-1:] != [("cycle",)]:
+        return "Player 2's play does not end in a cycle"
     return None
 
 

@@ -26,9 +26,10 @@ class SolverPreconditionError(PawnGameError):
 
 
 class BudgetExceededError(PawnGameError):
-    """State-space construction would exceed the configured node budget.
+    """A construction outgrew its budget.
 
-    ``estimate`` is None when it was too large to build; ``bits`` is then
+    ``estimate`` is its count of what it built or would build (64-bit
+    words, or padding vertices); None when too large to build, with ``bits``
     the bit length of a lower bound on it."""
 
     def __init__(self, estimate: int | None, budget: int, bits: int = 0):
@@ -39,5 +40,5 @@ class BudgetExceededError(PawnGameError):
         size = (str(estimate) if estimate is not None and bits <= 64
                 else f"at least 2^{bits - 1}")
         super().__init__(
-            f"estimated state space of {size} nodes exceeds budget {budget}"
+            f"size {size} exceeds budget {budget}"
         )

@@ -57,7 +57,13 @@ def _vertex_control(g: PawnGame, p0_pawns: frozenset[int]) -> frozenset[int]:
 def _layered_labels(g: PawnGame, base: frozenset[int],
                     stop: int | None = None) -> list[float]:
     """Labels from layers ``0, 1, ...`` until the layers repeat or layer
-    ``stop`` is solved; a vertex not won by then reads inf."""
+    ``stop`` is solved; a vertex not won by then reads inf.
+
+    A move to ``u`` lands on exchange ``(u, u in base)``, a self-loop
+    included.  Only Player 1 grabs, so ``c = 0`` implies ``v`` is not in
+    ``base``, and the loop keeps ``c``.  With ``c = 1`` the loop may land on
+    ``(v, 0)``: Player 1 controls less there than at ``(v, 1)`` itself, so
+    the loop never wins him more."""
     n = g.n
     # configuration (v, c) is state 2v + c, exchange (u, c0) is 2n + 2u + c0
     succ: list[list[int]] = [[] for _ in range(4 * n)]
@@ -69,7 +75,7 @@ def _layered_labels(g: PawnGame, base: frozenset[int],
             side[sid] = 1 if c else 2
             target[sid] = v in g.targets
             for u in g.succ[v]:
-                c0 = c if u == v else int(u in base)
+                c0 = int(u in base)
                 succ[sid].append(2 * n + 2 * u + c0)
             succ[2 * n + sid].append(sid)
     start = [2 * v + int(v in base) for v in range(n)]

@@ -36,9 +36,8 @@ from .gamefile import (
     vertex_line,
 )
 from .model import Configuration, GrabRule, Mechanism, PawnGame
+from .oracle import DEFAULT_BUDGET
 from .turnbased import TurnBasedGame, solve_turnbased
-
-DEFAULT_LOCK_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -80,18 +79,17 @@ class LockConfig:
 def expand_lockkey(
     lk: LockKeyGame,
     init: LockConfig,
-    max_locks: int = DEFAULT_LOCK_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ):
     """Compile lock state into a turn-based game over (vertex, closed set).
 
     Only the configurations reachable from ``init`` are built.  Crossing
     edge ``e`` from ``(v, A)`` is legal when no lock of ``e`` lies in ``A``
     and leads to ``(u, A xor keys(e))``.  Configurations with no legal move
-    get a self-loop: the play goes on forever off-target.  Returns the
-    game, the configuration-to-id index, and the state list.
+    get a self-loop: the play goes on forever off-target.  More than
+    ``budget`` configurations is an error.  Returns the game, the
+    configuration-to-id index, and the state list.
     """
-    if lk.num_locks > max_locks:
-        raise BudgetExceededError(2 ** lk.num_locks, 2 ** max_locks)
     out: list[list[int]] = [[] for _ in range(lk.n)]
     for i, (u, _) in enumerate(lk.edges):
         out[u].append(i)
@@ -104,6 +102,8 @@ def expand_lockkey(
 
     i = 0
     while i < len(states):
+        if len(states) > budget:
+            raise BudgetExceededError(len(states), budget)
         v, a = states[i]
         for e in out[v]:
             if lock_masks[e] & a:
@@ -132,8 +132,8 @@ def expand_lockkey(
 
 
 def solve_lockkey(lk: LockKeyGame, lc: LockConfig,
-                  max_locks: int = DEFAULT_LOCK_BUDGET) -> int:
-    tb, index, _ = expand_lockkey(lk, lc, max_locks)
+                  budget: int = DEFAULT_BUDGET) -> int:
+    tb, index, _ = expand_lockkey(lk, lc, budget)
     start = index[(lc.vertex, _mask(lc.closed))]
     return 1 if start in solve_turnbased(tb).region else 2
 

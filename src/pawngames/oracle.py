@@ -9,7 +9,7 @@ count under k-grabbing); an *intermediate* vertex represents the pending
 pawn exchange right after a token move.  Targets are exactly the
 configuration vertices whose token position is a target of the pawn game.
 States are materialized by forward reachability from the root, guarded by
-an explicit node budget.  Exceeding the budget is an error, never a silent
+an explicit budget.  Exceeding the budget is an error, never a silent
 approximation.
 
 ``AllConfigurations`` decides every configuration without building the
@@ -29,9 +29,10 @@ has one at a lower stamp, so Player 1's play falls to a target; Player 2's
 ends in ``cycle`` once a configuration repeats.
 
 ``solve_exact`` is the one exact route for rooted queries: the sweep when
-its ``n * 2**d * (k+1)`` configurations fit the budget, else the lazy
-expansion under the whole budget (k-grabbing games with many pawns, whose
-slice is only the sets within ``grabs_left`` grabs of the start).
+its tables fit the budget, else the lazy expansion under the whole budget.
+The budget counts 64-bit words: the sweep's ``n * (k+1) * ceil(2**d / 64)``
+table words, or ``d // 64 + 1`` per lazy state.  The sweep's witness log is
+not counted (0.7-1.8 times the table words on the benchmark's fixed games).
 ``solve_explicit`` stays the pure lazy route.
 """
 
@@ -45,7 +46,8 @@ from .errors import BudgetExceededError, ValidationError
 from .model import Configuration, GrabRule, PawnGame, validate_configuration
 from .turnbased import TurnBasedGame, attract
 
-DEFAULT_BUDGET = 50_000_000
+# 64-bit words: at most ~450 MB of lazy states, or 64M swept configurations
+DEFAULT_BUDGET = 1_000_000
 
 _NO_R = -1
 
@@ -58,29 +60,6 @@ def _owner_masks(g: PawnGame) -> list[int]:
             m |= 1 << j
         masks.append(m)
     return masks
-
-
-def _estimate_states(g: PawnGame, c: Configuration, budget: int) -> None:
-    """Refuse a rooted expansion whose estimated size exceeds ``budget``;
-    a huge pawn count is refused before ``2**d`` is built."""
-    from math import comb
-
-    kgrab = g.mechanism.rule is GrabRule.K_GRABBING
-    # under k-grabbing pawn sets only grow from the initial one, one pawn
-    # per grab; either way the estimate counts at least 2**m pawn sets
-    free = g.d - len(c.p1_pawns)
-    m = min(c.grabs_left, free) if kgrab else g.d
-    if m > budget.bit_length():
-        raise BudgetExceededError(None, budget, bits=m + 1)
-    if kgrab:
-        configs = g.n * (c.grabs_left + 1) * sum(
-            comb(free, j) for j in range(m + 1)
-        )
-    else:
-        configs = g.n * 2 ** g.d
-    estimate = configs * (1 + max(len(s) for s in g.succ))
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
 
 
 def _exchange_options(rule: GrabRule):
@@ -98,9 +77,9 @@ def _exchange_options(rule: GrabRule):
     gog = rule is GrabRule.GRAB_OR_GIVE
     keep = kgrab or rule is GrabRule.OPTIONAL
 
-    def options(p: int, r: int, chooser: int,
-                allowed: int) -> list[tuple[int, int]]:
-        out = [(p, r)] if keep else []
+    def options(p: int, r: int, chooser: int, allowed: int):
+        if keep:
+            yield p, r
         if kgrab:
             rest, r = (allowed & ~p if r > 0 else 0), r - 1
         elif gog:
@@ -109,9 +88,8 @@ def _exchange_options(rule: GrabRule):
             rest = allowed & ~p if chooser == 1 else allowed & p
         while rest:
             bit = rest & -rest
-            out.append((p ^ bit, r))
+            yield p ^ bit, r
             rest ^= bit
-        return out
 
     return options
 
@@ -120,9 +98,13 @@ class _StateGraph:
     """Interned expansion states with side, target and successor tables.
 
     ``live[u]``: the pawns that may change hands after a move to ``u``;
-    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state."""
+    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state.
+    A state costs ``words`` as it is added, and one past ``budget`` words is
+    refused, so an exchange that offers one option per pawn stops there."""
 
-    def __init__(self, live: list[int], lookup):
+    def __init__(self, live: list[int], lookup, budget: int, words: int):
+        self.budget = budget
+        self.words = words
         self.states: list[tuple] = []
         self.side: list[int] = []
         self.target: list[bool] = []
@@ -132,6 +114,8 @@ class _StateGraph:
 
     def add(self, state: tuple, side: int, target: bool) -> int:
         sid = len(self.states)
+        if (sid + 1) * self.words > self.budget:
+            raise BudgetExceededError((sid + 1) * self.words, self.budget)
         self.states.append(state)
         self.side.append(side)
         self.target.append(target)
@@ -200,6 +184,9 @@ def _expand(
     always-available no-exchange move, so the quotient preserves every
     winner.
     """
+    words = g.d // 64 + 1  # of a pawn mask
+    if words > budget:  # not even one state fits: report the 2**d pawn sets
+        raise BudgetExceededError(None, budget, bits=g.d + 1)
     rule = g.mechanism.rule
     omask = _owner_masks(g)
     full = (1 << g.d) - 1
@@ -241,7 +228,7 @@ def _expand(
             return loss_id
         return cindex[((pmask & live[v]) * n + v) * span + r + 1]
 
-    sg = _StateGraph(live, lookup)
+    sg = _StateGraph(live, lookup, budget, words)
     states = sg.states
     side = sg.side
     succ = sg.succ
@@ -269,8 +256,6 @@ def _expand(
 
     while work:
         sid = work.pop()
-        if len(states) > budget:
-            raise BudgetExceededError(len(states), budget)
         state = states[sid]
         if state[0] == "c":
             _, v, pmask, r = state
@@ -314,11 +299,6 @@ def solve_explicit(
 ) -> ExplicitResult:
     """Decide the winner from ``c`` via the explicit configuration graph."""
     validate_configuration(g, c)
-    _estimate_states(g, c, budget)
-    return _solve_lazy(g, c, budget)
-
-
-def _solve_lazy(g: PawnGame, c: Configuration, budget: int) -> ExplicitResult:
     start = (c.vertex, _mask(c.p1_pawns),
              c.grabs_left if c.grabs_left is not None else _NO_R)
     sg, roots = _expand(g, [start], budget, faithful=False)
@@ -352,14 +332,14 @@ class ExactResult:
 def solve_exact(
     g: PawnGame, c: Configuration, budget: int = DEFAULT_BUDGET
 ) -> ExactResult:
-    """Decide the winner from ``c`` by the sweep when it fits ``budget``;
-    a sweep that does not fit leaves the lazy route the whole budget."""
+    """Decide the winner from ``c`` by the sweep when its table words fit
+    ``budget``; a sweep that does not fit leaves the lazy route the whole
+    budget."""
     validate_configuration(g, c)
-    _estimate_states(g, c, budget)
     try:
         sweep = AllConfigurations(g, budget)
     except BudgetExceededError:
-        lazy = _solve_lazy(g, c, budget)
+        lazy = solve_explicit(g, c, budget)
         return ExactResult(lazy.winner, "lazy", lazy.num_states, g, c, lazy)
     winner = sweep.winner(c.vertex, c.p1_pawns, c.grabs_left)
     return ExactResult(winner, "sweep", sweep.size, g, c, sweep)
@@ -396,11 +376,13 @@ class AllConfigurations:
         self.game = g
         rule = g.mechanism.rule
         layers = g.mechanism.k + 1 if rule is GrabRule.K_GRABBING else 1
-        if g.d > budget.bit_length():
-            raise BudgetExceededError(None, budget, bits=g.d + 1)
+        # the budget counts words of 64 configurations; refuse before 2**d
+        if g.d - 6 > budget.bit_length():
+            raise BudgetExceededError(None, budget, bits=g.d - 5)
+        words = g.n * layers * ((1 << g.d) + 63 >> 6)
+        if words > budget:
+            raise BudgetExceededError(words, budget)
         self.size = g.n * (1 << g.d) * layers
-        if self.size > budget:
-            raise BudgetExceededError(self.size, budget)
         self._tables = self._sweep(layers)
 
     def _sweep(self, layers: int,
@@ -668,7 +650,6 @@ def expand_game(
 ) -> ExpandedGame:
     """The unpruned reachable expansion from ``c`` with canonical vertex ids."""
     validate_configuration(g, c)
-    _estimate_states(g, c, budget)
     r = c.grabs_left if c.grabs_left is not None else _NO_R
     sg, _ = _expand(g, [(c.vertex, _mask(c.p1_pawns), r)], budget,
                     faithful=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -315,10 +316,14 @@ def test_parse_error_exits_2(capsys, tmp_path):
 
 
 def test_budget_exceeded_exits_3(capsys):
-    code, _, err = run(capsys, "solve", G1, "--algo", "explicit",
-                       "--budget", "5")
+    # the sweep's 16 * 2^16 / 64 table words and the lazy slice are both
+    # past the budget; the message names the lazy route's words, one per
+    # state at d = 16
+    code, _, err = run(capsys, "solve", str(DATA / "heavy_tb7_90.pawngame"),
+                       "--algo", "explicit", "--budget", "1000")
     assert code == 3
-    assert "budget" in err
+    size = re.fullmatch(r"error: size (\d+) exceeds budget 1000\n", err)
+    assert size and int(size[1]) > 1000, err
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["solve", "--algo", "explicit"],
@@ -338,6 +343,24 @@ def test_huge_pawn_count_exits_3(capsys, tmp_path, argv):
     size = ("200000021" if "optional-to-always" in argv
             else "at least 2^100000000")
     assert last.startswith("error: ") and f" {size} " in last
+
+
+@pytest.mark.parametrize("argv", [["solve", "--algo", "explicit"],
+                                  ["reduce", "expand"]])
+def test_wide_exchange_stops_at_the_budget(capsys, tmp_path, argv):
+    # every exchange at s offers a grab of any of 100,000 pawns; each lazy
+    # state is charged its mask's 1,563 words as it is added, so the
+    # expansion stops within one state of the budget
+    d = 100_000
+    path = tmp_path / "wide.pawngame"
+    path.write_text(f"pawngame wide\nmechanism optional-grabbing\npawns {d}\n"
+                    f"vertex s owners={','.join(map(str, range(d)))}\n"
+                    "vertex t owners=0 target\nedge s s\nedge s t\nedge t t\n"
+                    "init vertex=s p1pawns=\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    size = re.fullmatch(r"error: size (\d+) exceeds budget 1000000\n", err)
+    assert size and 1_000_000 < int(size[1]) <= 1_000_000 + d // 64 + 1, err
 
 
 def test_missing_file_exits_2(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -137,12 +138,33 @@ def every_ovpp_game(n):
                            owners=owners, mechanism=Mechanism.k_grabbing(n))
 
 
+def self_loop_sample(n, count, seed):
+    """``count`` seeded games of ``every_ovpp_game(n)``'s kind, each with at
+    least one self-loop."""
+    rng = random.Random(seed)
+    nonempty = [frozenset(s) for size in range(1, n + 1)
+                for s in itertools.combinations(range(n), size)]
+    owners = tuple(frozenset({v}) for v in range(n))
+    while count:
+        outs = [rng.choice(nonempty) for _ in range(n)]
+        if all(v not in out for v, out in enumerate(outs)):
+            continue
+        edges = frozenset((u, v) for u, out in enumerate(outs) for v in out)
+        yield PawnGame(n=n, edges=edges, targets=rng.choice(nonempty), d=n,
+                       owners=owners, mechanism=Mechanism.k_grabbing(n))
+        count -= 1
+
+
 def test_labels_match_oracle_on_every_small_game():
+    # every game on 2 and 3 vertices, and a sample with self-loops on 4,
+    # where a self-loop from a grabbed vertex lands on the exchange that
+    # reads Player 1's control off the initial pawn set
     games = 0
-    for n in (2, 3):
+    for n, family in ((2, every_ovpp_game(2)), (3, every_ovpp_game(3)),
+                      (4, self_loop_sample(4, 300, seed=8))):
         pawn_sets = [frozenset(s) for size in range(n + 1)
                      for s in itertools.combinations(range(n), size)]
-        for index, game in enumerate(every_ovpp_game(n)):
+        for index, game in enumerate(family):
             games += 1
             oracle = AllConfigurations(game)
             for pawns in pawn_sets:
@@ -151,12 +173,12 @@ def test_labels_match_oracle_on_every_small_game():
                     for k in range(n + 1):
                         want = oracle.winner(v, pawns, k)
                         assert (1 if grabs[v] <= k else 2) == want
-                        # a winner query rebuilds the layers, so at n = 3
-                        # only every 16th game keeps the test near 2 s
+                        # a winner query rebuilds the layers, so from n = 3
+                        # only every 16th game keeps the test near 3 s
                         if n == 2 or index % 16 == 0:
                             query = Configuration(v, pawns, k)
                             assert solve_kgrab_ovpp(game, query) == want
-    assert games == 27 + 2401
+    assert games == 27 + 2401 + 300
 
 
 def test_long_chain_labels_match_closed_form_in_linear_memory():

@@ -251,7 +251,7 @@ def _reachable_p2_stall(lk, lc):
 def test_compiled_games_match_lockkey_winners():
     # the compiled game forces a move where the original lets the opponent
     # stall, so instances with a reachable stuck opponent state are skipped
-    checked = 0
+    checked = stopped = 0
     for i in range(40):
         lk, lc = gen_random_lockkey(n=3, num_locks=1, seed=4200 + i)
         if _reachable_p2_stall(lk, lc):
@@ -259,12 +259,13 @@ def test_compiled_games_match_lockkey_winners():
         want = solve_lockkey(lk, lc)
         game, config, _ = lockkey_to_optional(lk, lc)
         try:
-            got = solve_explicit(game, config).winner
+            got = solve_explicit(game, config, budget=100_000).winner
         except BudgetExceededError:
+            stopped += 1
             continue
         assert got == want, f"seed {4200 + i}"
         checked += 1
-    assert checked >= 20
+    assert (checked, stopped) == (28, 5)
 
 
 # machines whose compiled game once forced a stuck Player 2 into the goal
@@ -273,7 +274,8 @@ STUCK_OPPONENT_ATMS = {5, 7, 9, 11, 12, 16, 23, 24, 27, 35, 36, 52}
 
 def test_compiled_atm_chain_matches_machine_acceptance():
     # the hardness chain end to end: machine -> Lock & Key -> optional
-    # grabbing, decided by the lazy oracle within a 100k-state budget
+    # grabbing, decided by the lazy oracle within 100k states, each charged
+    # its pawn mask's d // 64 + 1 words
     decided, stopped = set(), set()
     for i in range(60):
         atm, word = gen_random_atm(1 + i % 3, seed=i)
@@ -283,7 +285,8 @@ def test_compiled_atm_chain_matches_machine_acceptance():
         game, config, _ = lockkey_to_optional(lk, lc)
         root = (config.vertex, sum(1 << j for j in config.p1_pawns), _NO_R)
         try:
-            sg, ids = _expand(game, [root], budget=100_000, faithful=False)
+            sg, ids = _expand(game, [root], budget=100_000 * (game.d // 64 + 1),
+                              faithful=False)
         except BudgetExceededError:
             stopped.add(i)
             continue
@@ -353,6 +356,9 @@ def test_lockkey_text_roundtrip():
 
 
 def test_lock_budget_is_enforced():
+    # the budget counts the reachable (vertex, closed set) states: 4 here
     lk, lc = gen_random_lockkey(n=3, num_locks=2, seed=1)
-    with pytest.raises(BudgetExceededError):
-        expand_lockkey(lk, lc, max_locks=1)
+    assert len(expand_lockkey(lk, lc, budget=4)[2]) == 4
+    with pytest.raises(BudgetExceededError) as err:
+        expand_lockkey(lk, lc, budget=3)
+    assert (err.value.estimate, err.value.budget) == (4, 3)

@@ -129,10 +129,12 @@ def test_always_grabbing_intermediates_never_starve():
 
 
 def test_budget_exceeded_reports_estimate():
-    game, config = load("g1.pawngame")
+    # a state of 16 pawns costs one word, so the lazy route expands until
+    # the state that would pass the budget and reports the words with it
+    game, config = load("heavy_tb7_90.pawngame")
     with pytest.raises(BudgetExceededError) as err:
-        solve_explicit(game, config, budget=10)
-    assert err.value.estimate > 10
+        solve_explicit(game, config, budget=1000)
+    assert (err.value.estimate, err.value.budget) == (1001, 1000)
 
 
 def test_fewer_pawns_never_hurt_under_optional_grabbing():
@@ -243,11 +245,14 @@ def test_sweep_budget_and_grab_budget_lookups():
     game, _ = gen_random_pawngame(
         5, 3, OwnershipKind.OMVPP, Mechanism.k_grabbing(2), 3
     )
-    size = 5 * 2 ** 3 * 3
+    # the budget counts table words: one word of 2^3 sets per vertex and
+    # grab layer
+    words = 5 * 3
     with pytest.raises(BudgetExceededError) as err:
-        AllConfigurations(game, budget=size - 1)
-    assert (err.value.estimate, err.value.budget) == (size, size - 1)
-    oracle = AllConfigurations(game, budget=size)
+        AllConfigurations(game, budget=words - 1)
+    assert (err.value.estimate, err.value.budget) == (words, words - 1)
+    oracle = AllConfigurations(game, budget=words)
+    assert oracle.size == 5 * 2 ** 3 * 3
     assert oracle.winner(0, frozenset(), 2) in (1, 2)
     for bad in (None, -1, 3):
         with pytest.raises(ValidationError):
@@ -265,4 +270,15 @@ def test_exact_route_stays_lazy_when_the_sweep_does_not_fit():
     assert result.route == "lazy"
     lazy = solve_explicit(game, config)
     assert (result.winner, result.states) == (lazy.winner, lazy.num_states)
+    assert check_play(game, config, result.witness(), result.winner) is None
+
+
+def test_exact_route_decides_a_slice_far_below_its_pawn_sets():
+    # 22 pawns put the sweep's words past the budget, while the lazy slice
+    # from the start is small
+    tb = gen_random_turnbased(10, 7)
+    game, config = tb_to_optional(tb, 0)
+    result = solve_exact(game, config)
+    assert (result.route, result.states) == ("lazy", 5388)
+    assert result.winner == (1 if 0 in solve_turnbased(tb).region else 2)
     assert check_play(game, config, result.witness(), result.winner) is None

@@ -83,9 +83,10 @@ def test_sweep_witnesses_pass_the_referee():
 
 def faults(game, config, steps):
     """``(fault, play)`` for every play that differs from the legal play
-    ``steps`` by one dropped or changed step."""
+    ``steps`` by one dropped or changed step, or is cut off before its end."""
     rule = game.mechanism.rule
     v, pawns, grabs = config.vertex, frozenset(config.p1_pawns), config.grabs_left
+    earlier = set()
 
     def at(k, step):
         return steps[:k] + [step] + steps[k + 1:]
@@ -93,6 +94,10 @@ def faults(game, config, steps):
     for i in range(0, len(steps) - 1, 2):
         if steps[i][0] != "move":
             return
+        yield "truncated play", steps[:i]
+        if steps[-1:] == [("cycle",)] and (v, pawns, grabs) not in earlier:
+            yield "cycle that does not close", steps[:i] + [("cycle",)]
+        earlier.add((v, pawns, grabs))
         others = frozenset(range(game.d)) - pawns
         yield "dropped step", steps[:i] + steps[i + 1:]
         yield "dropped step", steps[:i + 1] + steps[i + 2:]
@@ -127,7 +132,7 @@ def test_referee_rejects_every_planted_fault():
             assert check_play(game, config, play, winner) is not None, (
                 fault, play)
             caught[fault] += 1
-    assert len(caught) == 7 and min(caught.values()) >= 10, caught
+    assert len(caught) == 9 and min(caught.values()) >= 10, caught
 
 
 def test_single_root_and_all_roots_solvers_agree():
