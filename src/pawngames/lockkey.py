@@ -86,36 +86,39 @@ def expand_lockkey(
     Only the configurations reachable from ``init`` are built.  Crossing
     edge ``e`` from ``(v, A)`` is legal when no lock of ``e`` lies in ``A``
     and leads to ``(u, A xor keys(e))``.  Configurations with no legal move
-    get a self-loop: the play goes on forever off-target.  More than
-    ``budget`` configurations is an error.  Returns the game, the
-    configuration-to-id index, and the state list.
+    get a self-loop: the play goes on forever off-target.  Each
+    configuration costs the ``num_locks // 64 + 1`` words of its closed set
+    as it is added, and one past ``budget`` words is an error.  Returns the
+    game, the configuration-to-id index, and the state list.
     """
     out: list[list[int]] = [[] for _ in range(lk.n)]
     for i, (u, _) in enumerate(lk.edges):
         out[u].append(i)
     lock_masks = [_mask(s) for s in lk.locks]
     key_masks = [_mask(s) for s in lk.keys]
+    words = lk.num_locks // 64 + 1
+    states: list[tuple[int, int]] = []
+    index: dict[tuple[int, int], int] = {}
+    succ: list[list[int]] = []
 
-    states = [(init.vertex, _mask(init.closed))]
-    index = {s: i for i, s in enumerate(states)}
-    succ: list[list[int]] = [[] for _ in states]
+    def state_id(s: tuple[int, int]) -> int:
+        sid = index.get(s)
+        if sid is None:
+            sid = len(states)
+            if (sid + 1) * words > budget:
+                raise BudgetExceededError((sid + 1) * words, budget)
+            index[s] = sid
+            states.append(s)
+            succ.append([])
+        return sid
 
+    state_id((init.vertex, _mask(init.closed)))
     i = 0
     while i < len(states):
-        if len(states) > budget:
-            raise BudgetExceededError(len(states), budget)
         v, a = states[i]
         for e in out[v]:
-            if lock_masks[e] & a:
-                continue
-            nxt = (lk.edges[e][1], a ^ key_masks[e])
-            nid = index.get(nxt)
-            if nid is None:
-                nid = len(states)
-                index[nxt] = nid
-                states.append(nxt)
-                succ.append([])
-            succ[i].append(nid)
+            if not lock_masks[e] & a:
+                succ[i].append(state_id((lk.edges[e][1], a ^ key_masks[e])))
         if not succ[i]:
             succ[i].append(i)
         i += 1
@@ -202,6 +205,7 @@ class PawnGameBuilder:
     def __init__(self, name: str):
         self.name = name
         self.names: list[str] = []
+        self.taken: set[str] = set()
         self.owners: list[set[int]] = []
         self.edges: set[tuple[int, int]] = set()
         self.targets: set[int] = set()
@@ -213,14 +217,15 @@ class PawnGameBuilder:
 
     def fresh_name(self, base: str) -> str:
         name = base
-        taken = set(self.names)
-        while name in taken:
+        while name in self.taken:
             name += "'"
         return name
 
     def add_vertex(self, name: str, pawns) -> int:
         v = len(self.names)
-        self.names.append(self.fresh_name(name))
+        name = self.fresh_name(name)
+        self.names.append(name)
+        self.taken.add(name)
         self.owners.append({pawns} if isinstance(pawns, int) else set(pawns))
         return v
 

@@ -46,7 +46,7 @@ from .errors import BudgetExceededError, ValidationError
 from .model import Configuration, GrabRule, PawnGame, validate_configuration
 from .turnbased import TurnBasedGame, attract
 
-# 64-bit words: at most ~450 MB of lazy states, or 64M swept configurations
+# 64-bit words: at most ~400 MB of lazy states, or 64M swept configurations
 DEFAULT_BUDGET = 1_000_000
 
 _NO_R = -1
@@ -126,7 +126,8 @@ class _StateGraph:
         return len(self.states)
 
 
-def _graph_reach_masks(g: PawnGame, hopeful: set[int]) -> list[int]:
+def _graph_reach_masks(g: PawnGame, hopeful: set[int],
+                       omask: list[int]) -> list[int]:
     """live_mask[v]: pawns whose control can still decide a future move.
 
     A pawn's side is read only at configurations sitting on one of its
@@ -136,7 +137,6 @@ def _graph_reach_masks(g: PawnGame, hopeful: set[int]) -> list[int]:
     outside that set can be projected away without changing any winner
     (exact for mechanisms with a no-exchange option; see ``_expand``).
     """
-    omask = _owner_masks(g)
     interior = [w in hopeful and w not in g.targets for w in range(g.n)]
     # closure over interior vertices only: plays end on targets and hopeless
     # configurations collapse, so neither is passed through
@@ -175,7 +175,10 @@ def _expand(
 ) -> tuple[_StateGraph, list[int]]:
     """Build the reachable slice of the configuration graph from ``roots``.
 
-    Roots are (vertex, pawn mask, grabs-left) triples.  Unless ``faithful``,
+    Roots are (vertex, pawn mask, grabs-left) triples.  Each configuration
+    is expanded once: one intermediate per token move, whose exchange
+    options are resolved to configurations as it is made, so only
+    configurations wait on the work stack.  Unless ``faithful``,
     every configuration whose vertex has no graph path to a target
     collapses into one losing sink, target configurations are terminal, and
     under mechanisms with a no-exchange option (optional grabbing,
@@ -212,68 +215,53 @@ def _expand(
                     stack.append(u)
 
     if not faithful and (optional or kgrab):
-        live = _graph_reach_masks(g, hopeful)
+        live = _graph_reach_masks(g, hopeful, omask)
     else:
         live = [full] * n
 
-    cindex: dict[int, int] = {}
-    iindex: dict[tuple[int, int], int] = {}
-    loss_id = None
+    cindex: dict[int | None, int] = {}
     work: list[int] = []
     span = g.mechanism.k + 2 if kgrab else 1
 
-    def lookup(v: int, pmask: int, r: int) -> int:
-        # the loss sink for a hopeless vertex, else the projected state
-        if v not in hopeful:
-            return loss_id
-        return cindex[((pmask & live[v]) * n + v) * span + r + 1]
+    def key(v: int, pmask: int, r: int) -> int | None:
+        # None for a hopeless vertex (the loss sink), else the projected key
+        if v in hopeful:
+            return ((pmask & live[v]) * n + v) * span + r + 1
+        return None
 
-    sg = _StateGraph(live, lookup, budget, words)
+    sg = _StateGraph(live, lambda v, p, r: cindex[key(v, p, r)],
+                     budget, words)
     states = sg.states
-    side = sg.side
     succ = sg.succ
 
     def config_id(v: int, pmask: int, r: int) -> int:
-        nonlocal loss_id
-        if v not in hopeful:
-            if loss_id is None:
-                loss_id = sg.add(("loss",), 1, False)
-                succ[loss_id].append(loss_id)
-            return loss_id
-        pmask &= live[v]
-        key = (pmask * n + v) * span + r + 1
-        sid = cindex.get(key)
+        k = key(v, pmask, r)
+        sid = cindex.get(k)
         if sid is not None:
             return sid
-        tgt = v in targets
-        sid = sg.add(("c", v, pmask, r), 1 if omask[v] & pmask else 2, tgt)
-        cindex[key] = sid
-        if faithful or not tgt:
-            work.append(sid)
+        if k is None:
+            sid = sg.add(("loss",), 1, False)
+            succ[sid].append(sid)
+        else:
+            pmask &= live[v]
+            tgt = v in targets
+            sid = sg.add(("c", v, pmask, r), 1 if omask[v] & pmask else 2, tgt)
+            if faithful or not tgt:
+                work.append(sid)
+        cindex[k] = sid
         return sid
 
     root_ids = [config_id(v, p, r) for v, p, r in roots]
 
     while work:
         sid = work.pop()
-        state = states[sid]
-        if state[0] == "c":
-            _, v, pmask, r = state
-            iside = 1 if kgrab else 3 - side[sid]
-            out = succ[sid]
-            for u in succ_of[v]:
-                key = (sid, u)
-                iid = iindex.get(key)
-                if iid is None:
-                    iid = sg.add(("i", u, sid), iside, False)
-                    iindex[key] = iid
-                    work.append(iid)
-                out.append(iid)
-        else:
-            _, u, parent = state
-            _, v, pmask, r = states[parent]
-            out = succ[sid]
-            for q, s in exchange_options(pmask, r, side[sid], live[u]):
+        _, v, pmask, r = states[sid]
+        chooser = 1 if kgrab else 3 - sg.side[sid]
+        for u in succ_of[v]:
+            iid = sg.add(("i", u, sid), chooser, False)
+            succ[sid].append(iid)
+            out = succ[iid]
+            for q, s in exchange_options(pmask, r, chooser, live[u]):
                 out.append(config_id(u, q, s))
             if not out:
                 raise ValidationError(

@@ -356,7 +356,7 @@ def test_lockkey_text_roundtrip():
 
 
 def test_lock_budget_is_enforced():
-    # the budget counts the reachable (vertex, closed set) states: 4 here
+    # each of the 4 reachable (vertex, closed set) states costs one word
     lk, lc = gen_random_lockkey(n=3, num_locks=2, seed=1)
     assert len(expand_lockkey(lk, lc, budget=4)[2]) == 4
     with pytest.raises(BudgetExceededError) as err:

@@ -3,6 +3,7 @@ budget handling and the monotonicity properties it certifies."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from pawngames import (
     tb_to_optional,
     witness_play,
 )
+from pawngames.cli import main
 from pawngames.crossval import check_play
 from pawngames.generators import gen_random_pawngame, gen_random_turnbased
 from pawngames.oracle import _NO_R, _expand, _unmask
@@ -282,3 +284,29 @@ def test_exact_route_decides_a_slice_far_below_its_pawn_sets():
     assert (result.route, result.states) == ("lazy", 5388)
     assert result.winner == (1 if 0 in solve_turnbased(tb).region else 2)
     assert check_play(game, config, result.witness(), result.winner) is None
+
+
+@pytest.mark.parametrize("name, states, digest", [
+    ("g1", 81,
+     "08d359960932e094826c636ecee5134799f09cef80c2f66eca8f02d8adaeb89a"),
+    ("g2_body", 290,
+     "8f28549215391cf9cef346e06645b8d525bffb4cfbf9fb2a35948a956d63dfcd"),
+    ("g2_caption", 290,
+     "49bcc99889ac22013ab89097ba46dd5e26339b1441a848ce473af0f7042715fe"),
+    ("kgrab_omvpp_30", 4393,
+     "c0028a12dabf5ac916dcba177d3a8984ab71612f0fbe679a43711674f86fdfaf"),
+])
+def test_reduce_expand_output_is_pinned(capsys, name, states, digest):
+    # the faithful expansion's canonical text, byte for byte
+    assert main(["reduce", "expand", str(DATA / f"{name}.pawngame")]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("tb ") for line in out.splitlines()) == states
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_lazy_solve_and_witness_are_pinned():
+    game, config = tb_to_optional(gen_random_turnbased(8, 7), 0)
+    result = solve_explicit(game, config)
+    assert (result.winner, result.num_states) == (1, 65543)
+    assert witness_play(game, result) == [
+        ("move", 13), ("nograb",), ("move", 5), ("nograb",)]
