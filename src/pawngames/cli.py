@@ -11,6 +11,7 @@ budget exceeded, 1 failed check suite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -204,7 +205,10 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: nothing mutates it, and each
+    ``parse_args`` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pawngames",
         description="solve, reduce and generate grabbing-mechanism games",
@@ -274,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as err:

@@ -21,18 +21,22 @@ other.
 Both routes build witnesses by one walk over the pawn game's own
 configurations, ``_play``; only the *rank* that orders Player 1's region
 differs.  The lazy route ranks by attractor level in its slice.  The sweep
-ranks by *stamp*: ``AllConfigurations.witness`` runs the fixpoint again
-with a log of its changes, and a configuration's stamp is the position of
-the change that first wins it (under k-grabbing, the pair of grabs left
-and stamp).  A won configuration at level L has an option below L, as it
-has one at a lower stamp, so Player 1's play falls to a target; Player 2's
-ends in ``cycle`` once a configuration repeats.
+ranks by *stamp*: the sweep that decides the game logs its changes, and a
+configuration's stamp is the position of the change that first wins it
+(under k-grabbing, the pair of grabs left and stamp).  A won configuration
+at level L has an option below L, as it has one at a lower stamp, so
+Player 1's play falls to a target; Player 2's ends in ``cycle`` once a
+configuration repeats.  The log lives as long as the ``AllConfigurations``
+that holds it, so a witness runs no second sweep.  On ``tb(8,7)@0``
+(Python 3.11, tracemalloc) the solve alone peaks at 4.11 MB, against 3.69
+MB with no log kept, and solve plus witness at 4.11 MB, against 4.66 MB
+with a second, logged sweep.
 
 ``solve_exact`` is the one exact route for rooted queries: the sweep when
 its tables fit the budget, else the lazy expansion under the whole budget.
 The budget counts 64-bit words: the sweep's ``n * (k+1) * ceil(2**d / 64)``
-table words, or ``d // 64 + 1`` per lazy state.  The sweep's witness log is
-not counted (0.7-1.8 times the table words on the benchmark's fixed games).
+table words, or ``d // 64 + 1`` per lazy state.  The sweep's log is not
+counted (0.7-1.8 times the table words on the benchmark's fixed games).
 ``solve_explicit`` stays the pure lazy route.
 """
 
@@ -137,33 +141,61 @@ def _graph_reach_masks(g: PawnGame, hopeful: set[int],
     outside that set can be projected away without changing any winner
     (exact for mechanisms with a no-exchange option; see ``_expand``).
     """
-    interior = [w in hopeful and w not in g.targets for w in range(g.n)]
-    # closure over interior vertices only: plays end on targets and hopeless
-    # configurations collapse, so neither is passed through
-    reach = [1 << v for v in range(g.n)]
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if not interior[v]:
-                continue
-            acc = reach[v]
-            for u in g.succ[v]:
-                acc |= reach[u]
-            if acc != reach[v]:
-                reach[v] = acc
-                changed = True
-    live = []
-    for v in range(g.n):
-        m = 0
-        bits = reach[v]
-        while bits:
-            low = bits & -bits
-            w = low.bit_length() - 1
-            if interior[w]:
-                m |= omask[w]
-            bits ^= low
-        live.append(m)
+    n = g.n
+    interior = [w in hopeful and w not in g.targets for w in range(n)]
+    # reachability over interior vertices only: plays end on targets and
+    # hopeless configurations collapse, so neither is passed through
+    succ = [g.succ[v] if interior[v] else () for v in range(n)]
+    # Tarjan's components, iteratively: a component is finished after every
+    # component it reaches, so one pass over them in that order is final
+    live = [0] * n
+    order = [0] * n  # discovery position, from 1; 0 while unvisited
+    low = [0] * n
+    stack: list[int] = []  # vertices of unfinished components
+    on_stack = [False] * n
+    seen = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        seen += 1
+        order[root] = low[root] = seen
+        stack.append(root)
+        on_stack[root] = True
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, edges = calls[-1]
+            for u in edges:
+                if not order[u]:
+                    seen += 1
+                    order[u] = low[u] = seen
+                    stack.append(u)
+                    on_stack[u] = True
+                    calls.append((u, iter(succ[u])))
+                    break
+                if on_stack[u] and order[u] < low[v]:
+                    low[v] = order[u]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] != order[v]:
+                    continue
+                # v roots a component; its members' live masks are still 0
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    members.append(w)
+                    if w == v:
+                        break
+                m = 0
+                for w in members:
+                    if interior[w]:
+                        m |= omask[w]
+                    for u in succ[w]:
+                        m |= live[u]
+                for w in members:
+                    live[w] = m
     return live
 
 
@@ -371,12 +403,14 @@ class AllConfigurations:
         if words > budget:
             raise BudgetExceededError(words, budget)
         self.size = g.n * (1 << g.d) * layers
-        self._tables = self._sweep(layers)
+        # each layer's changes, kept for the witness's stamps
+        self._logs: list[list[tuple[int, int]]] = [[] for _ in range(layers)]
+        self._tables = self._sweep(layers, self._logs)
 
     def _sweep(self, layers: int,
-               logs: list[list[tuple[int, int]]] | None = None) -> list[list[int]]:
-        """The tables of grab layers ``0 .. layers - 1``; given ``logs``,
-        each layer's fixpoint logs its changes into its own list."""
+               logs: list[list[tuple[int, int]]]) -> list[list[int]]:
+        """The tables of grab layers ``0 .. layers - 1``; each layer's
+        fixpoint logs its changes into its own list of ``logs``."""
         g = self.game
         rule = g.mechanism.rule
         full = (1 << (1 << g.d)) - 1
@@ -429,9 +463,7 @@ class AllConfigurations:
                 def gate(v: int, w: int, below=below) -> tuple[int, int]:
                     w |= below[v]
                     return w, w
-            tables.append(_least_fixpoint(
-                g, mover, full, gate, logs[layer] if logs else None
-            ))
+            tables.append(_least_fixpoint(g, mover, full, gate, logs[layer]))
         return tables
 
     def winner(self, v: int, p1_pawns: frozenset[int], grabs_left: int | None = None) -> int:
@@ -442,7 +474,8 @@ class AllConfigurations:
     def witness(self, v: int, p1_pawns: frozenset[int],
                 grabs_left: int | None = None) -> list[tuple]:
         """The winner's play from a configuration, ranked by the stamps of
-        a logged second sweep (run only when Player 1 wins); see ``_play``."""
+        the sweep that decided it (read only when Player 1 wins); see
+        ``_play``."""
         g = self.game
         winner = self.winner(v, p1_pawns, grabs_left)
         r = grabs_left or 0
@@ -469,15 +502,13 @@ class AllConfigurations:
 
     def _history(self, layers: int) -> list[list[list[tuple[int, int]]]]:
         """Each vertex's ``(stamp, win)`` entries in the grab layers below
-        ``layers``, from a second sweep that logs its changes; targets are
-        won from stamp 0.  Built only while a witness is read, since the
-        log holds one ``2**d``-bit integer per change."""
+        ``layers``, read off the deciding sweep's log; targets are won from
+        stamp 0.  The entries share the log's integers, so this sweeps
+        nothing and copies no table."""
         g = self.game
-        logs: list[list[tuple[int, int]]] = [[] for _ in range(layers)]
-        self._sweep(layers, logs)
         full = (1 << (1 << g.d)) - 1
         history = []
-        for log in logs:
+        for log in self._logs[:layers]:
             layer = [[(0, full)] if u in g.targets else [] for u in range(g.n)]
             for stamp, (u, w) in enumerate(log, 1):
                 layer[u].append((stamp, w))
@@ -487,14 +518,14 @@ class AllConfigurations:
 
 def _least_fixpoint(
     g: PawnGame, mover: list[int], full: int, gate,
-    log: list[tuple[int, int]] | None = None,
+    log: list[tuple[int, int]],
 ) -> list[int]:
     """One table of ``AllConfigurations``, raised from zero by a worklist.
 
     The right-hand side is monotone, so every change adds bits and the
-    worklist stops at the least solution: Player 1's attractor.  Given a
-    ``log``, each change ``(v, win[v])`` is appended to it; a change's stamp
-    is its position in the log, plus one.
+    worklist stops at the least solution: Player 1's attractor.  Each
+    change ``(v, win[v])`` is appended to ``log``; a change's stamp is its
+    position in the log, plus one.
     """
     targets = g.targets
     pred: list[list[int]] = [[] for _ in range(g.n)]
@@ -518,8 +549,7 @@ def _least_fixpoint(
         w = (m & some) | (every & ~m)
         if w != win[v]:
             win[v] = w
-            if log is not None:
-                log.append((v, w))
+            log.append((v, w))
             gates[v] = gate(v, w)
             for p in pred[v]:
                 if not queued[p]:

@@ -1,5 +1,5 @@
-"""Mutation gate for the exact routes and their referees: each mutant must
-be killed.
+"""Mutation gate for the exact routes, the polynomial solvers and the
+referees: each mutant must be killed.
 
 A mutant is ``(file, old, new, tests)``: replace the one occurrence of
 ``old`` in ``file`` with ``new`` in a throwaway copy of ``src`` and
@@ -36,6 +36,7 @@ WITNESSES = [
     "tests/test_witness.py::test_winning_witnesses_reach_a_target_legally",
     "tests/test_exact_property.py",
 ]
+SWEPT = ["tests/test_witness.py::test_swept_witnesses_are_pinned"]
 
 MUTANTS = [
     # _expand: the intermediate's chooser taken as the mover
@@ -66,6 +67,26 @@ MUTANTS = [
     # the sweep: mover and non-mover swap their successor gates
     (ORACLE, "w = (m & some) | (every & ~m)", "w = (m & every) | (some & ~m)",
      [SWEEP]),
+    # the sweep's witness: a stamp read off the last change, not the first
+    # that wins the configuration
+    (ORACLE, "return s, entries[lo][0]", "return s, entries[-1][0]", SWEPT),
+    # the sweep's witness: targets ranked after every change
+    (ORACLE, "[(0, full)] if u in g.targets",
+     "[(len(log) + 1, full)] if u in g.targets", SWEPT),
+    # the sweep's witness: stamps read off the top grab layers' logs
+    (ORACLE, "for log in self._logs[:layers]:",
+     "for log in self._logs[-layers:]:", SWEPT),
+    # live masks: reachability passes through targets and hopeless vertices
+    (ORACLE, "succ = [g.succ[v] if interior[v] else () for v in range(n)]",
+     "succ = [g.succ[v] for v in range(n)]",
+     ["tests/test_live_masks_property.py"]),
+    # alg1: the initial vertex on the border wins whoever controls it
+    ("src/pawngames/optional_grabbing.py", "if in_b[v0] and v0 in p0:",
+     "if in_b[v0]:", ["tests/test_alg1_property.py"]),
+    # eta: the rooted query stops one budget layer early
+    ("src/pawngames/kgrab_ovpp.py", "if now == won or r == stop:",
+     "if now == won or r + 1 == stop:",
+     ["tests/test_kgrab_ovpp.py::test_winner_queries_respect_the_budget"]),
     # grab-or-give: the mover picks the next controller
     ("src/pawngames/grab_or_give.py", "inter = (1 + (3 - i)) * n + u",
      "inter = (1 + i) * n + u", ["tests/test_grab_or_give_property.py"]),

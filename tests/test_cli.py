@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pawngames
+from pawngames import oracle
 from pawngames.cli import main
 from pawngames.crossval import check_play
 from pawngames.gamefile import parse_game, serialize_game
 from pawngames.generators import gen_random_pawngame, serialize_atm
 from pawngames.lockkey import parse_lockkey
 from pawngames.model import GrabRule, Mechanism, OwnershipKind
-from pawngames.oracle import AllConfigurations
 from pawngames.turnbased import parse_tbgame
 
 DATA = Path(__file__).parent / "data"
@@ -67,6 +71,10 @@ def test_solve_json_names_the_exact_route_and_its_work(capsys):
 
 
 def test_json_witness_reads_no_witness(capsys, monkeypatch):
+    def no_play(*_):
+        raise AssertionError("a JSON answer walked a witness")
+
+    monkeypatch.setattr(oracle, "_play", no_play)
     # JSON prints no witness, so a polynomial answer replays no exact route
     code, out, err = run(capsys, "solve", G1, "--json", "--witness")
     payload = json.loads(out)
@@ -74,11 +82,6 @@ def test_json_witness_reads_no_witness(capsys, monkeypatch):
         0, "alg1", None)
     assert payload["stats"]["states"] == 4
     assert "replay" not in err
-
-    def no_history(*_):
-        raise AssertionError("a JSON answer logged a second sweep")
-
-    monkeypatch.setattr(AllConfigurations, "_history", no_history)
     code, out, _ = run(capsys, "solve", G1, "--algo", "explicit", "--json",
                        "--witness")
     payload = json.loads(out)
@@ -110,6 +113,42 @@ def test_solve_witness_replay(capsys):
     assert lines[0] == "winner: 1"
     moves = [l.split()[1] for l in lines[1:] if l.startswith("move")]
     assert moves.count("v1") >= 2 and moves[-1] == "t"
+
+
+def test_one_process_serves_many_calls(capsys):
+    # main builds its parser once per process; each call in this sequence,
+    # a budget refusal and a usage error among them, prints what the same
+    # call prints from a fresh process
+    heavy = str(DATA / "heavy_tb7_90.pawngame")
+    calls = [
+        (["solve", heavy, "--algo", "explicit", "--budget", "1000"], 3),
+        (["solve", heavy, "--algo", "explicit"], 0),
+        (["solve", heavy, "--json"], 0),
+        (["solve", str(DATA / "g2_body.pawngame"), "--algo", "explicit",
+          "--witness"], 0),
+        (["solve", G1, "--algo", "fastest"], 2),
+        (["solve", G1, "--witness"], 0),
+        (["check", "--suite", "alg1", "--count", "3"], 0),
+        (["gen", "random", "--seed", "5", "--vertices", "6", "--pawns", "4",
+          "--kind", "mvpp", "--mechanism", "k-grabbing", "--k", "1"], 0),
+    ]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(pawngames.__file__).parent.parent)}
+
+    def timeless(text):
+        return re.sub(r'"time-ms": \d+', '"time-ms": 0', text)
+
+    for argv, expected in calls:
+        try:
+            code = main(argv)
+        except SystemExit as err:
+            code = err.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "pawngames", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, timeless(captured.out), captured.err) == (
+            fresh.returncode, timeless(fresh.stdout), fresh.stderr), argv
+        assert code == expected, argv
 
 
 def test_specialized_dispatch_missing_class_is_an_error(capsys, tmp_path):

@@ -3,6 +3,7 @@ on plays with one planted fault."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -16,6 +17,7 @@ from pawngames import (
     solve_explicit,
     witness_play,
 )
+from pawngames import oracle
 from pawngames.crossval import check_play
 from pawngames.generators import gen_random_pawngame
 
@@ -79,6 +81,67 @@ def test_sweep_witnesses_pass_the_referee():
     for rule in GrabRule:
         for w in (1, 2):
             assert seen[rule, w] >= 10, seen
+
+
+def swept_positions():
+    """Every vertex of seeded games under all four mechanisms (k = 1, 2),
+    each ownership kind and n = 3-8, from the generated pawn set; under
+    k-grabbing vertex v starts with v mod (k + 1) grabs left."""
+    seed = 95_000
+    for mech in [Mechanism.optional(), Mechanism.always(),
+                 Mechanism.grab_or_give(), Mechanism.k_grabbing(1),
+                 Mechanism.k_grabbing(2)]:
+        for kind in OwnershipKind:
+            for n in range(3, 9):
+                d = {OwnershipKind.OVPP: n, OwnershipKind.MVPP: n - 1,
+                     OwnershipKind.OMVPP: min(n, 5)}[kind]
+                seed += 1
+                game, config = gen_random_pawngame(n, d, kind, mech, seed)
+                for v in range(n):
+                    grabs = (v % (mech.k + 1) if config.grabs_left is not None
+                             else None)
+                    yield game, Configuration(v, config.p1_pawns, grabs)
+
+
+def test_swept_witnesses_are_pinned():
+    # the stamps that rank a swept witness, byte for byte: 495 positions,
+    # 335 of them won by Player 1
+    digest = hashlib.sha256()
+    seen = Counter()
+    for game, start in swept_positions():
+        result = solve_exact(game, start)
+        digest.update(repr((result.winner, result.route, result.states,
+                            result.witness())).encode())
+        seen[result.route, result.winner] += 1
+    assert seen == {("sweep", 1): 335, ("sweep", 2): 160}
+    assert digest.hexdigest() == (
+        "2a731f653595aba428f3ad614810ff574d4ff9170fa1235cbb1abac7e29bdbf8")
+
+
+def test_a_swept_witness_runs_no_second_sweep(monkeypatch):
+    # the witness reads the stamps logged by the sweep that decided the game
+    sweeps = []
+    for i, mech in enumerate([Mechanism.optional(), Mechanism.always(),
+                              Mechanism.grab_or_give(),
+                              Mechanism.k_grabbing(2)]):
+        game, config = gen_random_pawngame(6, 4, OwnershipKind.MVPP, mech,
+                                           96_000 + i)
+        sweeps.append((AllConfigurations(game), config))
+
+    def no_sweep(*_):
+        raise AssertionError("a witness ran the fixpoint again")
+
+    monkeypatch.setattr(oracle, "_least_fixpoint", no_sweep)
+    for sweep, config in sweeps:
+        game = sweep.game
+        won = [Configuration(v, config.p1_pawns, config.grabs_left)
+               for v in sorted(set(range(game.n)) - game.targets)
+               if sweep.winner(v, config.p1_pawns, config.grabs_left) == 1]
+        assert won, game.mechanism
+        for start in won:
+            steps = sweep.witness(start.vertex, start.p1_pawns,
+                                  start.grabs_left)
+            assert check_play(game, start, steps, 1) is None, steps
 
 
 def faults(game, config, steps):
