@@ -57,7 +57,8 @@ def _specialized(game, config):
     """Run the matching polynomial solver; None when there is none.
 
     Returns the algorithm name, the winner and the solver's own witness
-    play (only the bounded search makes one, and only for Player 1).
+    walk, called only when a witness is printed (only the bounded search
+    has one, and it returns None unless Player 1 wins).
     """
     kind = classify(game)
     rule = game.mechanism.rule
@@ -97,7 +98,9 @@ def cmd_solve(args) -> int:
     if args.algo in ("auto", "specialized"):
         solved = _specialized(game, config)
         if solved is not None:
-            algo, winner, witness_steps = solved
+            algo, winner, walk = solved
+            if witness and walk is not None:
+                witness_steps = walk()
         elif args.algo == "specialized":
             raise SolverPreconditionError(
                 f"no specialized solver for {classify(game).value} "

@@ -180,10 +180,12 @@ def suite_dfs(seed: int, count: int) -> list[str]:
                 game, config, f"search winner {result.winner}, oracle {want}"
             ))
         elif result.winner == 1:
-            note = check_play(game, config, result.witness, 1)
-            rounds = sum(step[0] == "move" for step in result.witness)
-            if note is None and rounds > result.rounds_cap:
-                note = f"witness uses {rounds} rounds, cap is {result.rounds_cap}"
+            steps = result.witness()
+            note = check_play(game, config, steps, 1)
+            rounds = sum(step[0] == "move" for step in steps)
+            cap = game.n * (config.grabs_left + 1)  # the paper's bound
+            if note is None and rounds > cap:
+                note = f"witness uses {rounds} rounds, cap is {cap}"
             if note:
                 failures.append(_counterexample(game, config, note))
     return failures

@@ -12,7 +12,9 @@ with the number of rounds they need; a cached win is reused only when the
 remaining budget covers it.  Depth-limited losses are never treated as
 absolute: failures are remembered with the budget they were proven at and
 only short-circuit searches with at most that budget, which is sound
-because shrinking the budget can never turn a loss into a win.
+because shrinking the budget can never turn a loss into a win.  A Player 1
+win's witness is the oracle's one play walk, ``_play``, ranked by the
+cached rounds.
 """
 
 from __future__ import annotations
@@ -21,14 +23,37 @@ from dataclasses import dataclass, field
 
 from .errors import SolverPreconditionError
 from .model import Configuration, GrabRule, PawnGame, validate_configuration
+from .oracle import _mask, _owner_masks, _play
 
 
 @dataclass
 class KGrabSearchResult:
+    """Winner of the search and the nodes it expanded."""
+
     winner: int
-    rounds_cap: int
     nodes: int
-    witness: list[tuple] | None = None
+    _search: _Search
+    _start: tuple[int, int, int]
+
+    def witness(self) -> list[tuple] | None:
+        """Player 1's play against a delaying adversary, in ``_play``'s
+        steps, ranked by the rounds the search proved; None when Player 2
+        wins, since the search's failures are bounded by depth and rank
+        none of her moves.
+
+        A proven entry only ever falls.  An entry R at a Player-1 node has
+        an option proven in at most R - 1 rounds, and at a Player-2 node
+        every move has such an option, so the ranks fall to a target within
+        R rounds."""
+        if self.winner != 1:
+            return None
+        search = self._search
+        g = search.game
+
+        def rank(u: int, q: int, s: int) -> int | None:
+            return 0 if u in g.targets else search.win_rounds.get((u, q, s))
+
+        return _play(g, self._start, rank, [(1 << g.d) - 1] * g.n)
 
 
 @dataclass
@@ -111,62 +136,14 @@ def solve_kgrab_dfs(g: PawnGame, c: Configuration) -> KGrabSearchResult:
     if g.mechanism.rule is not GrabRule.K_GRABBING:
         raise SolverPreconditionError("search handles k-grabbing only")
     validate_configuration(g, c)
-    cap = g.n * (c.grabs_left + 1)
-
-    omask = [0] * g.n
-    for v in range(g.n):
-        for j in g.owners[v]:
-            omask[v] |= 1 << j
     grab_order = []
     for v in range(g.n):
         owning = sorted(g.owners[v])
         rest = [j for j in range(g.d) if j not in g.owners[v]]
         grab_order.append(owning + rest)
 
-    search = _Search(g, omask, grab_order)
-    pmask = 0
-    for j in c.p1_pawns:
-        pmask |= 1 << j
-    rounds = search.value(c.vertex, pmask, c.grabs_left, cap)
-    if rounds is None:
-        return KGrabSearchResult(2, cap, search.nodes)
-
-    witness = _extract_witness(search, c.vertex, pmask, c.grabs_left, cap)
-    return KGrabSearchResult(1, cap, search.nodes, witness)
-
-
-def _extract_witness(
-    search: _Search, v: int, pmask: int, r: int, budget: int
-) -> list[tuple]:
-    """One winning play: Player 1's choices from the search, Player 2 taking
-    her first move option."""
-    g = search.game
-    steps: list[tuple] = []
-    while v not in g.targets:
-        if search.omask[v] & pmask:
-            chosen = None
-            for u in g.succ[v]:
-                for npmask, nr in search._exchanges(u, pmask, r):
-                    if search.value(u, npmask, nr, budget - 1) is not None:
-                        chosen = (u, npmask, nr)
-                        break
-                if chosen:
-                    break
-        else:
-            u = g.succ[v][0]
-            chosen = None
-            for npmask, nr in search._exchanges(u, pmask, r):
-                if search.value(u, npmask, nr, budget - 1) is not None:
-                    chosen = (u, npmask, nr)
-                    break
-        assert chosen is not None, "witness replay diverged from the search"
-        u, npmask, nr = chosen
-        steps.append(("move", u))
-        if npmask == pmask:
-            steps.append(("nograb",))
-        else:
-            j = (npmask ^ pmask).bit_length() - 1
-            steps.append(("grab", j))
-        v, pmask, r = u, npmask, nr
-        budget -= 1
-    return steps
+    search = _Search(g, _owner_masks(g), grab_order)
+    start = (c.vertex, _mask(c.p1_pawns), c.grabs_left)
+    rounds = search.value(*start, g.n * (c.grabs_left + 1))
+    return KGrabSearchResult(1 if rounds is not None else 2, search.nodes,
+                             search, start)

@@ -36,7 +36,7 @@ from .gamefile import (
     vertex_line,
 )
 from .model import Configuration, GrabRule, Mechanism, PawnGame
-from .oracle import DEFAULT_BUDGET
+from .oracle import DEFAULT_BUDGET, _mask
 from .turnbased import TurnBasedGame, solve_turnbased
 
 
@@ -577,10 +577,3 @@ def serialize_lockkey(lk: LockKeyGame, lc: LockConfig) -> str:
     closed = ",".join(str(j) for j in sorted(lc.closed))
     lines.append(f"init vertex={lk.names[lc.vertex]} closed={closed}")
     return "\n".join(lines) + "\n"
-
-
-def _mask(items: frozenset[int]) -> int:
-    m = 0
-    for j in items:
-        m |= 1 << j
-    return m

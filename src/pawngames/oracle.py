@@ -30,7 +30,8 @@ configuration repeats.  The log lives as long as the ``AllConfigurations``
 that holds it, so a witness runs no second sweep.  On ``tb(8,7)@0``
 (Python 3.11, tracemalloc) the solve alone peaks at 4.11 MB, against 3.69
 MB with no log kept, and solve plus witness at 4.11 MB, against 4.66 MB
-with a second, logged sweep.
+with a second, logged sweep.  ``kgrab_dfs`` walks ``_play`` too, ranked by
+the rounds its search proved, so ``_play`` is the package's one move picker.
 
 ``solve_exact`` is the one exact route for rooted queries: the sweep when
 its tables fit the budget, else the lazy expansion under the whole budget.

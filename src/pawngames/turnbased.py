@@ -1,4 +1,4 @@
-"""Turn-based reachability games: the attractor, regions, strategies.
+"""Turn-based reachability games: the attractor and winning regions.
 
 Vertices are split between the players; Player 1 tries to reach the target
 set, Player 2 tries to avoid it forever.  Dead ends are permitted and follow
@@ -42,18 +42,9 @@ class TurnBasedGame:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Winning region of Player 1 with witnesses for both players.
-
-    ``level`` maps each region vertex to the attractor stage it entered
-    (targets are stage 0).  ``p1_strategy`` maps Player-1 region vertices
-    to a successor one stage down; ``p2_strategy`` keeps Player-2 vertices
-    outside the region.
-    """
+    """Winning region of Player 1."""
 
     region: frozenset[int]
-    level: dict[int, int]
-    p1_strategy: dict[int, int]
-    p2_strategy: dict[int, int]
 
 
 def attract(
@@ -117,39 +108,15 @@ def attract(
 
 
 def solve_turnbased(tb: TurnBasedGame) -> SolveResult:
-    """Regions and memoryless witness strategies for both players.
-
-    Player 1's strategy steps to the lowest-numbered successor in the lowest
-    attractor stage, so witnesses are deterministic across runs.
-    """
+    """Player 1's winning region; ``attract`` also gives the entry stages."""
     side = [2] * tb.n
     for v in tb.p1_vertices:
         side[v] = 1
     target = [False] * tb.n
     for v in tb.targets:
         target[v] = True
-    in_region, stage = attract(tb.succ, side, target)
-    region = frozenset(v for v in range(tb.n) if in_region[v])
-    level = {v: stage[v] for v in region}
-
-    p1_strategy: dict[int, int] = {}
-    p2_strategy: dict[int, int] = {}
-    for v in range(tb.n):
-        if side[v] == 1 and in_region[v]:
-            options = [u for u in tb.succ[v] if in_region[u]]
-            if options:
-                p1_strategy[v] = min(options, key=lambda u: (stage[u], u))
-        elif side[v] == 2 and not in_region[v]:
-            options = [u for u in tb.succ[v] if not in_region[u]]
-            if options:
-                p2_strategy[v] = min(options)
-
-    return SolveResult(
-        region=region,
-        level=level,
-        p1_strategy=p1_strategy,
-        p2_strategy=p2_strategy,
-    )
+    in_region, _ = attract(tb.succ, side, target)
+    return SolveResult(frozenset(v for v in range(tb.n) if in_region[v]))
 
 
 def parse_tbgame(text: str | bytes) -> TurnBasedGame:

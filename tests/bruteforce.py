@@ -1,4 +1,4 @@
-"""Independent exhaustive oracles used only by the test suite.
+"""An independent exhaustive oracle used only by the test suite.
 
 The game-tree search below decides turn-based reachability by exploring
 plays with a visited set: a repeated vertex means the opponent can force
@@ -28,50 +28,3 @@ def bruteforce_region(tb: TurnBasedGame) -> frozenset[int]:
 
     return frozenset(v for v in range(tb.n) if wins(v, frozenset()))
 
-
-def replay_p1_strategy(tb: TurnBasedGame, strategy: dict[int, int],
-                       start: int) -> int:
-    """Worst number of moves to reach a target following ``strategy`` at
-    Player-1 vertices, against every adversary behavior; -1 if some branch
-    avoids the targets for longer than the vertex count allows."""
-
-    def depth(v: int, steps: int) -> int:
-        if v in tb.targets:
-            return steps
-        if steps > tb.n:
-            return -1
-        if v in tb.p1_vertices:
-            nxt = strategy.get(v)
-            if nxt is None:
-                return -1
-            return depth(nxt, steps + 1)
-        worst = 0
-        for u in tb.succ[v]:
-            sub = depth(u, steps + 1)
-            if sub < 0:
-                return -1
-            worst = max(worst, sub)
-        return worst
-
-    return depth(start, 0)
-
-
-def p2_strategy_avoids(tb: TurnBasedGame, strategy: dict[int, int],
-                       start: int) -> bool:
-    """True when following ``strategy`` at Player-2 vertices keeps every
-    play away from the targets (loops detected by vertex repetition)."""
-
-    def safe(v: int, seen: frozenset[int]) -> bool:
-        if v in tb.targets:
-            return False
-        if v in seen:
-            return True
-        if not tb.succ[v]:
-            return v in tb.p1_vertices
-        extended = seen | {v}
-        if v in tb.p1_vertices:
-            return all(safe(u, extended) for u in tb.succ[v])
-        nxt = strategy.get(v)
-        return nxt is not None and safe(nxt, extended)
-
-    return safe(start, frozenset())

@@ -26,6 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/pawngames/oracle.py"
 REFEREE = "src/pawngames/crossval.py"
+SEARCH = "src/pawngames/kgrab_dfs.py"
+LOCKKEY = "src/pawngames/lockkey.py"
 SWEEP = "tests/test_oracle.py::test_rooted_lazy_path_matches_the_sweep"
 PLANTED = "tests/test_witness.py::test_referee_rejects_every_planted_fault"
 PINS = [
@@ -37,6 +39,7 @@ WITNESSES = [
     "tests/test_exact_property.py",
 ]
 SWEPT = ["tests/test_witness.py::test_swept_witnesses_are_pinned"]
+PINNED_SEARCH = "tests/test_kgrab_dfs.py::test_search_winners_are_pinned"
 
 MUTANTS = [
     # _expand: the intermediate's chooser taken as the mover
@@ -86,7 +89,8 @@ MUTANTS = [
     # eta: the rooted query stops one budget layer early
     ("src/pawngames/kgrab_ovpp.py", "if now == won or r == stop:",
      "if now == won or r + 1 == stop:",
-     ["tests/test_kgrab_ovpp.py::test_winner_queries_respect_the_budget"]),
+     ["tests/test_kgrab_ovpp.py::test_winner_queries_respect_the_budget",
+      "tests/test_eta_property.py"]),
     # grab-or-give: the mover picks the next controller
     ("src/pawngames/grab_or_give.py", "inter = (1 + (3 - i)) * n + u",
      "inter = (1 + i) * n + u", ["tests/test_grab_or_give_property.py"]),
@@ -96,8 +100,21 @@ MUTANTS = [
     # check_play: a cycle that closes on no earlier configuration accepted
     (REFEREE, "if (v, frozenset(pawns), grabs) not in earlier:", "if False:",
      [PLANTED]),
+    # the search's witness: targets ranked outside Player 1's region
+    (SEARCH, "return 0 if u in g.targets else",
+     "return None if u in g.targets else", [PINNED_SEARCH]),
+    # the search: one grab more than the budget allows
+    (SEARCH, "if r > 0:", "if r >= 0:", [PINNED_SEARCH]),
+    # tb_to_optional: each player's escape edge leads to the other's goal
+    (LOCKKEY, "edges.add((v, sink) if v in tb.p1_vertices else (v, goal))",
+     "edges.add((v, goal) if v in tb.p1_vertices else (v, sink))",
+     ["tests/test_lockkey.py::"
+      "test_embedding_matches_turnbased_winner_on_random_games"]),
+    # the lock gadget: the w3 escape leads to the goal, not the sink
+    (LOCKKEY, "(v3, vout), (v3, s)", "(v3, vout), (v3, t)",
+     ["tests/test_lockkey.py::test_gadget_behavior_matches_the_lock_semantics"]),
     # expand_lockkey: one state more than the budget's words built
-    ("src/pawngames/lockkey.py", "if (sid + 1) * words > budget:",
+    (LOCKKEY, "if (sid + 1) * words > budget:",
      "if sid * words > budget:",
      ["tests/test_lockkey.py::test_lock_budget_is_enforced"]),
 ]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import pawngames
-from pawngames import oracle
+from pawngames import kgrab_dfs, oracle
 from pawngames.cli import main
 from pawngames.crossval import check_play
 from pawngames.gamefile import parse_game, serialize_game
@@ -30,6 +30,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def printed_steps(game, lines):
+    """The steps of a printed witness, in ``check_play``'s form."""
+    steps = []
+    for line in lines:
+        kind, *arg = line.split()
+        if kind == "move":
+            steps.append(("move", game.names.index(arg[0])))
+        else:
+            steps.append((kind, *map(int, arg)))
+    return steps
+
+
+def setcover_file(capsys, tmp_path):
+    """The Figure 5 set-cover game with two grabs, as a file."""
+    code, out, _ = run(capsys, "gen", "setcover", "--universe", "3",
+                       "--sets", "1;1,2;2,3", "--k", "2")
+    assert code == 0
+    path = tmp_path / "cover.pawngame"
+    path.write_text(out)
+    return path
 
 
 def test_solve_prints_winner(capsys):
@@ -70,11 +92,12 @@ def test_solve_json_names_the_exact_route_and_its_work(capsys):
     assert (payload["algo"], payload["stats"]["route"]) == ("alg1", None)
 
 
-def test_json_witness_reads_no_witness(capsys, monkeypatch):
+def test_json_witness_reads_no_witness(capsys, monkeypatch, tmp_path):
     def no_play(*_):
         raise AssertionError("a JSON answer walked a witness")
 
-    monkeypatch.setattr(oracle, "_play", no_play)
+    for module in (oracle, kgrab_dfs):
+        monkeypatch.setattr(module, "_play", no_play)
     # JSON prints no witness, so a polynomial answer replays no exact route
     code, out, err = run(capsys, "solve", G1, "--json", "--witness")
     payload = json.loads(out)
@@ -87,6 +110,12 @@ def test_json_witness_reads_no_witness(capsys, monkeypatch):
     payload = json.loads(out)
     assert (code, payload["winner"], payload["stats"]["route"]) == (
         0, 1, "sweep")
+    # the bounded search's witness is a walk too, and JSON reads none
+    code, out, err = run(capsys, "solve", str(setcover_file(capsys, tmp_path)),
+                         "--json", "--witness")
+    payload = json.loads(out)
+    assert (code, payload["winner"], payload["algo"]) == (0, 1, "kgrab-dfs")
+    assert "replay" not in err
 
 
 def test_swept_witness_is_printed_and_refereed(capsys):
@@ -96,13 +125,7 @@ def test_swept_witness_is_printed_and_refereed(capsys):
     lines = out.strip().splitlines()
     assert (code, lines[0], lines[-1]) == (0, "winner: 2", "cycle")
     game, config = parse_game(path.read_bytes())
-    steps = []
-    for line in lines[1:-1]:
-        kind, *arg = line.split()
-        if kind == "move":
-            steps.append(("move", game.names.index(arg[0])))
-        else:
-            steps.append((kind, *map(int, arg)))
+    steps = printed_steps(game, lines[1:-1])
     assert check_play(game, config, steps + [("cycle",)], 2) is None
 
 
@@ -334,16 +357,16 @@ def test_check_rejects_unknown_suite(capsys):
 
 
 def test_search_witness_lines(capsys, tmp_path):
-    code, out, _ = run(capsys, "gen", "setcover", "--universe", "3",
-                       "--sets", "1;1,2;2,3", "--k", "2")
-    path = tmp_path / "cover.pawngame"
-    path.write_text(out)
-    code, out, _ = run(capsys, "solve", str(path), "--witness")
+    path = setcover_file(capsys, tmp_path)
+    code, out, err = run(capsys, "solve", str(path), "--witness")
     lines = out.strip().splitlines()
-    assert lines[0] == "winner: 1"
+    assert (code, lines[0]) == (0, "winner: 1")
+    assert "replay" not in err
     kinds = {line.split()[0] for line in lines[1:]}
     assert kinds <= {"move", "grab", "nograb"}
     assert "move" in kinds and "grab" in kinds
+    game, config = parse_game(path.read_bytes())
+    assert check_play(game, config, printed_steps(game, lines[1:]), 1) is None
 
 
 def test_parse_error_exits_2(capsys, tmp_path):

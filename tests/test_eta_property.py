@@ -1,7 +1,8 @@
-"""Property test: the minimum-grab labels against the oracle.
+"""Property test: the minimum-grab labels and the rooted query against the
+oracle, at every vertex and every grab budget 0..n.
 
-Hypothesis draws the game's size, generator seed, pawn set, start vertex
-and grab budget, so a disagreement shrinks to a small game."""
+Hypothesis draws the game's size, generator seed and pawn set, so a
+disagreement shrinks to a small game."""
 
 from __future__ import annotations
 
@@ -20,27 +21,23 @@ from pawngames.generators import gen_random_pawngame
 
 
 @st.composite
-def ovpp_kgrab_positions(draw):
+def ovpp_kgrab_games(draw):
     n = draw(st.integers(2, 9))
     seed = draw(st.integers(0, 2**32 - 1))
     game, _ = gen_random_pawngame(
         n, n, OwnershipKind.OVPP, Mechanism.k_grabbing(n), seed
     )
-    vertex = draw(st.integers(0, n - 1))
-    pawns = draw(st.frozensets(st.integers(0, n - 1)))
-    budget = draw(st.integers(0, n))
-    return game, Configuration(vertex, pawns, budget)
+    return game, draw(st.frozensets(st.integers(0, n - 1)))
 
 
 @settings(deadline=None)
-@given(ovpp_kgrab_positions())
-def test_eta_matches_oracle(position):
-    game, config = position
+@given(ovpp_kgrab_games())
+def test_eta_matches_oracle(drawn):
+    game, pawns = drawn
     oracle = AllConfigurations(game)
-    grabs = minimum_grabs(game, config.p1_pawns)
+    grabs = minimum_grabs(game, pawns)
     for v in range(game.n):
         for k in range(game.n + 1):
-            want = oracle.winner(v, config.p1_pawns, k)
+            want = oracle.winner(v, pawns, k)
             assert (1 if grabs[v] <= k else 2) == want
-    want = oracle.winner(config.vertex, config.p1_pawns, config.grabs_left)
-    assert solve_kgrab_ovpp(game, config) == want
+            assert solve_kgrab_ovpp(game, Configuration(v, pawns, k)) == want
