@@ -90,7 +90,7 @@ def cmd_solve(args) -> int:
     t0 = time.monotonic()
     algo = None
     states = game.n
-    route = None
+    route = n = d = None
     witness_steps = None
     # JSON output prints no witness, so it reads none
     witness = args.witness and not args.json
@@ -117,7 +117,7 @@ def cmd_solve(args) -> int:
         exact = solve_exact(game, config, budget=args.budget)
         if algo == "explicit":
             winner = exact.winner
-        states, route = exact.states, exact.route
+        states, route, n, d = exact.states, exact.route, exact.n, exact.d
         if witness:
             witness_steps = exact.witness()
 
@@ -126,7 +126,8 @@ def cmd_solve(args) -> int:
         print(json.dumps({
             "winner": winner,
             "algo": algo,
-            "stats": {"states": states, "route": route, "time-ms": elapsed_ms},
+            "stats": {"states": states, "route": route, "n": n, "d": d,
+                      "time-ms": elapsed_ms},
         }))
     else:
         print(f"winner: {winner}")

@@ -1,8 +1,9 @@
 """Depth-first decision procedure for k-grabbing games of any ownership kind.
 
-If Player 1 can win at all, he can win within ``|V| * (k + 1)`` rounds: his
-pawn set only ever grows, so a longer play would close a grab-free cycle
-that Player 2 could repeat forever.  The search therefore explores the
+If Player 1 can win at all, he can win within ``|V| * (k + 1)`` rounds, where
+``k`` counts the grabs he can use, at most ``d - |P|`` from pawn set ``P``:
+his pawn set only ever grows, so a longer play would close a grab-free
+cycle that Player 2 could repeat forever.  The search therefore explores the
 unwinding of the configuration graph to that depth.  Nodes where Player 1
 moves, and every grab decision, are OR nodes; Player 2's move choices are
 AND nodes.  A node at the cap that is not on a target counts as a loss.
@@ -132,7 +133,10 @@ class _Search:
 
 def solve_kgrab_dfs(g: PawnGame, c: Configuration) -> KGrabSearchResult:
     """Decide a k-grabbing game by AND-OR search capped at
-    ``|V| * (grabs_left + 1)`` rounds."""
+    ``|V| * (r + 1)`` rounds, where the start's grab budget is normalized
+    once to ``r = min(grabs_left, d - |P|)``: each grab takes a pawn that
+    Player 1 lacks, so no play uses more, and the bound holds in every
+    node."""
     if g.mechanism.rule is not GrabRule.K_GRABBING:
         raise SolverPreconditionError("search handles k-grabbing only")
     validate_configuration(g, c)
@@ -143,7 +147,8 @@ def solve_kgrab_dfs(g: PawnGame, c: Configuration) -> KGrabSearchResult:
         grab_order.append(owning + rest)
 
     search = _Search(g, _owner_masks(g), grab_order)
-    start = (c.vertex, _mask(c.p1_pawns), c.grabs_left)
-    rounds = search.value(*start, g.n * (c.grabs_left + 1))
+    r = min(c.grabs_left, g.d - len(c.p1_pawns))
+    start = (c.vertex, _mask(c.p1_pawns), r)
+    rounds = search.value(*start, g.n * (r + 1))
     return KGrabSearchResult(1 if rounds is not None else 2, search.nodes,
                              search, start)

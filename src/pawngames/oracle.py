@@ -27,18 +27,31 @@ configuration's stamp is the position of the change that first wins it
 at level L has an option below L, as it has one at a lower stamp, so
 Player 1's play falls to a target; Player 2's ends in ``cycle`` once a
 configuration repeats.  The log lives as long as the ``AllConfigurations``
-that holds it, so a witness runs no second sweep.  On ``tb(8,7)@0``
-(Python 3.11, tracemalloc) the solve alone peaks at 4.11 MB, against 3.69
-MB with no log kept, and solve plus witness at 4.11 MB, against 4.66 MB
-with a second, logged sweep.  ``kgrab_dfs`` walks ``_play`` too, ranked by
-the rounds its search proved, so ``_play`` is the package's one move picker.
+that holds it, so a witness runs no second sweep.  On the whole
+``tb(8,7)@0`` game (Python 3.11, tracemalloc) the sweep alone peaks at
+4.11 MB, against 3.69 MB with no log kept, and sweep plus witness at 4.11
+MB, against 4.66 MB with a second, logged sweep.  ``kgrab_dfs`` walks
+``_play`` too, ranked by the rounds its search proved, so ``_play`` is the
+package's one move picker.
 
-``solve_exact`` is the one exact route for rooted queries: the sweep when
-its tables fit the budget, else the lazy expansion under the whole budget.
-The budget counts 64-bit words: the sweep's ``n * (k+1) * ceil(2**d / 64)``
-table words, or ``d // 64 + 1`` per lazy state.  The sweep's log is not
-counted (0.7-1.8 times the table words on the benchmark's fixed games).
-``solve_explicit`` stays the pure lazy route.
+``solve_exact`` is the one exact route for rooted queries.  It first
+restricts the query to its cone of influence (``_Cone``; the reduction of
+Clarke, Grumberg and Peled, *Model Checking*, 1999): the interior vertices
+that play can reach from the root, one merged target, one losing sink and,
+under optional grabbing and k-grabbing, only the pawns that own a kept
+vertex.  Then it runs the sweep when the restricted game's tables fit the
+budget, else the lazy expansion of the restricted game under the whole
+budget.  Its witness walks the original game with ``_play``, reading the
+route's rank through the cone's vertex and pawn maps, so the play referee
+checks the original game.  On ``tb(9,3)@0`` (20 vertices and 20 pawns)
+the cone keeps 14 vertices and 12 pawns: the solve takes 0.7 ms and peaks
+at 0.06 MB, where the full sweep took 149 ms and 19.6 MB (Python 3.11,
+tracemalloc).  The budget counts 64-bit words: the sweep's
+``n * (k+1) * ceil(2**d / 64)`` table words, or ``d // 64 + 1`` per lazy
+state.  The sweep's log is not counted (0.7-1.8 times the table words on
+the benchmark's fixed games).  ``solve_explicit``, ``expand_game`` and
+``AllConfigurations`` stay unrestricted, so each can referee the
+restricted route.
 """
 
 from __future__ import annotations
@@ -103,7 +116,8 @@ class _StateGraph:
     """Interned expansion states with side, target and successor tables.
 
     ``live[u]``: the pawns that may change hands after a move to ``u``;
-    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state.
+    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state, or
+    None when the slice does not hold it.
     A state costs ``words`` as it is added, and one past ``budget`` words is
     refused, so an exchange that offers one option per pawn stops there."""
 
@@ -129,6 +143,23 @@ class _StateGraph:
 
     def __len__(self) -> int:
         return len(self.states)
+
+
+def _hopeful(g: PawnGame) -> set[int]:
+    """The vertices with a graph path to a target, targets included; from
+    any other vertex Player 1 has lost."""
+    hopeful = set(g.targets)
+    pred: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        pred[v].append(u)
+    stack = list(g.targets)
+    while stack:
+        v = stack.pop()
+        for u in pred[v]:
+            if u not in hopeful:
+                hopeful.add(u)
+                stack.append(u)
+    return hopeful
 
 
 def _graph_reach_masks(g: PawnGame, hopeful: set[int],
@@ -233,20 +264,7 @@ def _expand(
     optional = rule is GrabRule.OPTIONAL
     exchange_options = _exchange_options(rule)
 
-    hopeful = set(range(n))
-    if not faithful:
-        hopeful = set(targets)
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for u, v in g.edges:
-            pred[v].append(u)
-        stack = list(targets)
-        while stack:
-            v = stack.pop()
-            for u in pred[v]:
-                if u not in hopeful:
-                    hopeful.add(u)
-                    stack.append(u)
-
+    hopeful = set(range(n)) if faithful else _hopeful(g)
     if not faithful and (optional or kgrab):
         live = _graph_reach_masks(g, hopeful, omask)
     else:
@@ -262,7 +280,7 @@ def _expand(
             return ((pmask & live[v]) * n + v) * span + r + 1
         return None
 
-    sg = _StateGraph(live, lambda v, p, r: cindex[key(v, p, r)],
+    sg = _StateGraph(live, lambda v, p, r: cindex.get(key(v, p, r)),
                      budget, words)
     states = sg.states
     succ = sg.succ
@@ -314,6 +332,14 @@ class ExplicitResult:
     _in_region: list[bool]
     _level: list[int]
 
+    def rank(self, u: int, q: int, s: int) -> int | None:
+        """The attractor level of configuration ``(u, q, s)``; None outside
+        Player 1's region or outside the slice."""
+        sid = self._sg.lookup(u, q, s)
+        if sid is None or not self._in_region[sid]:
+            return None
+        return self._level[sid]
+
 
 def solve_explicit(
     g: PawnGame, c: Configuration, budget: int = DEFAULT_BUDGET
@@ -328,42 +354,139 @@ def solve_explicit(
     return ExplicitResult(winner, len(sg), sg, start, in_region, level)
 
 
+@dataclass(frozen=True)
+class _Cone:
+    """A rooted query restricted to its cone of influence.
+
+    ``game`` keeps the interior vertices (hopeful, not targets) that play
+    can reach from the root through interior vertices, in their original
+    order, then one merged target and one self-looped losing sink.  Under
+    optional grabbing and k-grabbing it keeps only the live pawns, those
+    that own a kept vertex, renumbered in increasing order: a dead pawn's
+    exchange equals the no-exchange option.  Under always-grabbing and
+    grab-or-give every pawn stays an exchange option, unless no vertex is
+    kept.  ``config`` is the root there.
+
+    ``vertex[v]`` is the vertex that ``v`` maps to (the merged target for a
+    target), or None for a hopeless vertex or one that play from the root
+    never reaches.  Restricted pawn ``i`` is pawn ``pawns[i]``; ``pawns``
+    is None when every pawn keeps its id.
+    """
+
+    game: PawnGame
+    config: Configuration
+    vertex: list[int | None]
+    pawns: list[int] | None
+
+    def compress(self, q: int) -> int:
+        """Pawn mask ``q`` of the original game in the restricted ids."""
+        if self.pawns is None:
+            return q
+        out = 0
+        for i, j in enumerate(self.pawns):
+            if q >> j & 1:
+                out |= 1 << i
+        return out
+
+
+def _restrict(g: PawnGame, c: Configuration) -> _Cone:
+    """The cone of influence of ``c``, in time linear in the size of ``g``:
+    no step reads the pawn ids that no vertex owns."""
+    hopeful = _hopeful(g)
+    targets = g.targets
+    inside = [False] * g.n
+    if c.vertex in hopeful and c.vertex not in targets:
+        inside[c.vertex] = True
+        stack = [c.vertex]
+        while stack:
+            for u in g.succ[stack.pop()]:
+                if not inside[u] and u in hopeful and u not in targets:
+                    inside[u] = True
+                    stack.append(u)
+    kept = [v for v in range(g.n) if inside[v]]
+    goal, sink = len(kept), len(kept) + 1
+    vertex: list[int | None] = [None] * g.n
+    for t in targets:
+        vertex[t] = goal
+    for i, v in enumerate(kept):
+        vertex[v] = i
+    edges = {(goal, goal), (sink, sink)}
+    for i, v in enumerate(kept):
+        for u in g.succ[v]:
+            w = vertex[u]
+            edges.add((i, sink if w is None else w))
+    owners = [g.owners[v] for v in kept]
+    d, p1, pawns = g.d, c.p1_pawns, None
+    if not kept or g.mechanism.rule in (GrabRule.OPTIONAL,
+                                        GrabRule.K_GRABBING):
+        pawns = sorted(set().union(*owners))
+        new = {j: i for i, j in enumerate(pawns)}
+        owners = [frozenset(new[j] for j in own) for own in owners]
+        d = max(len(pawns), 1)
+        p1 = frozenset(new[j] for j in p1 if j in new)
+    game = PawnGame(
+        n=sink + 1, edges=frozenset(edges), targets=frozenset({goal}), d=d,
+        owners=tuple(owners) + (frozenset({0}),) * 2, mechanism=g.mechanism)
+    root = vertex[c.vertex]
+    return _Cone(game, Configuration(sink if root is None else root, p1,
+                                     c.grabs_left), vertex, pawns)
+
+
 @dataclass
 class ExactResult:
     """Winner of ``solve_exact``, the route that decided it (``"lazy"`` or
-    ``"sweep"``) and the work done: the lazy states, or every configuration
-    of the sweep."""
+    ``"sweep"``), the work done (the lazy states, or every configuration of
+    the sweep) and the size ``n``, ``d`` of the restricted game it solved."""
 
     winner: int
     route: str
     states: int
+    n: int
+    d: int
     _game: PawnGame
     _config: Configuration
+    _cone: _Cone
     _solved: ExplicitResult | AllConfigurations
 
     def witness(self) -> list[tuple]:
-        """The winner's play against a delaying adversary, in
-        ``witness_play``'s steps."""
+        """The winner's play in the original game against a delaying
+        adversary, in ``witness_play``'s steps.  The route's rank is read
+        through the cone's maps: a target takes the merged target's rank,
+        and a vertex outside the cone takes None."""
+        g, c, cone = self._game, self._config, self._cone
         if self.route == "lazy":
-            return witness_play(self._game, self._solved)
-        c = self._config
-        return self._solved.witness(c.vertex, c.p1_pawns, c.grabs_left)
+            rank = self._solved.rank
+        else:
+            h = cone.config
+            rank = self._solved.ranker(h.vertex, h.p1_pawns, h.grabs_left)
+
+        def lifted(u: int, q: int, s: int):
+            w = cone.vertex[u]
+            return None if w is None else rank(w, cone.compress(q), s)
+
+        r = c.grabs_left if c.grabs_left is not None else _NO_R
+        return _play(g, (c.vertex, _mask(c.p1_pawns), r), lifted,
+                     [(1 << g.d) - 1] * g.n)
 
 
 def solve_exact(
     g: PawnGame, c: Configuration, budget: int = DEFAULT_BUDGET
 ) -> ExactResult:
-    """Decide the winner from ``c`` by the sweep when its table words fit
-    ``budget``; a sweep that does not fit leaves the lazy route the whole
-    budget."""
+    """Decide the winner from ``c`` on its cone of influence: by the sweep
+    when the restricted game's table words fit ``budget``, else by the lazy
+    route under the whole budget."""
     validate_configuration(g, c)
+    cone = _restrict(g, c)
+    h, hc = cone.game, cone.config
     try:
-        sweep = AllConfigurations(g, budget)
+        solved = AllConfigurations(h, budget)
     except BudgetExceededError:
-        lazy = solve_explicit(g, c, budget)
-        return ExactResult(lazy.winner, "lazy", lazy.num_states, g, c, lazy)
-    winner = sweep.winner(c.vertex, c.p1_pawns, c.grabs_left)
-    return ExactResult(winner, "sweep", sweep.size, g, c, sweep)
+        solved = solve_explicit(h, hc, budget)
+        route, winner, states = "lazy", solved.winner, solved.num_states
+    else:
+        route, states = "sweep", solved.size
+        winner = solved.winner(hc.vertex, hc.p1_pawns, hc.grabs_left)
+    return ExactResult(winner, route, states, h.n, h.d, g, c, cone, solved)
 
 
 def _pawn_masks(d: int) -> list[int]:
@@ -474,16 +597,28 @@ class AllConfigurations:
 
     def witness(self, v: int, p1_pawns: frozenset[int],
                 grabs_left: int | None = None) -> list[tuple]:
-        """The winner's play from a configuration, ranked by the stamps of
-        the sweep that decided it (read only when Player 1 wins); see
-        ``_play``."""
+        """The winner's play from a configuration, ranked by ``ranker``;
+        see ``_play``."""
         g = self.game
-        winner = self.winner(v, p1_pawns, grabs_left)
+        return _play(g, (v, _mask(p1_pawns), grabs_left or 0),
+                     self.ranker(v, p1_pawns, grabs_left),
+                     [(1 << g.d) - 1] * g.n)
+
+    def ranker(self, v: int, p1_pawns: frozenset[int],
+               grabs_left: int | None = None):
+        """The rank of the winner's play from a configuration: None outside
+        Player 1's region, else the grabs left and the stamp of the change
+        that first won the configuration in the sweep that decided it.
+        Stamps are read only when Player 1 wins; a grabs-left of
+        ``_NO_R`` reads the one table of the other mechanisms."""
         r = grabs_left or 0
-        history = self._history(r + 1) if winner == 1 else None
+        history = (self._history(r + 1)
+                   if self.winner(v, p1_pawns, grabs_left) == 1 else None)
+        tables = self._tables
 
         def rank(u: int, q: int, s: int):
-            if not self._tables[s][u] >> q & 1:
+            s = max(s, 0)
+            if not tables[s][u] >> q & 1:
                 return None
             if history is None:
                 return 0
@@ -498,8 +633,7 @@ class AllConfigurations:
                     lo = mid + 1
             return s, entries[lo][0]
 
-        return _play(g, (v, _mask(p1_pawns), r), rank,
-                     [(1 << g.d) - 1] * g.n)
+        return rank
 
     def _history(self, layers: int) -> list[list[list[tuple[int, int]]]]:
         """Each vertex's ``(stamp, win)`` entries in the grab layers below
@@ -624,13 +758,7 @@ def _play(g: PawnGame, start: tuple[int, int, int], rank,
 def witness_play(g: PawnGame, result: ExplicitResult) -> list[tuple]:
     """The winner's play from the solved configuration, ranked by attractor
     level in the lazy slice; see ``_play``."""
-    sg, in_region, level = result._sg, result._in_region, result._level
-
-    def rank(u: int, q: int, s: int) -> int | None:
-        sid = sg.lookup(u, q, s)
-        return level[sid] if in_region[sid] else None
-
-    return _play(g, result._start, rank, sg.live)
+    return _play(g, result._start, result.rank, result._sg.live)
 
 
 def _exchange_step(g: PawnGame, moved_by: int, pmask: int, npmask: int):

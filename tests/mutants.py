@@ -40,6 +40,13 @@ WITNESSES = [
 ]
 SWEPT = ["tests/test_witness.py::test_swept_witnesses_are_pinned"]
 PINNED_SEARCH = "tests/test_kgrab_dfs.py::test_search_winners_are_pinned"
+RESTRICTED = [
+    "tests/test_oracle.py::"
+    "test_restriction_matches_the_full_sweep_on_every_small_game",
+    "tests/test_exact_property.py::"
+    "test_restricted_route_matches_the_unrestricted_sweep",
+]
+ANY_BUDGET = "tests/test_cli.py::test_search_answers_at_any_grab_budget"
 
 MUTANTS = [
     # _expand: the intermediate's chooser taken as the mover
@@ -105,6 +112,19 @@ MUTANTS = [
      "return None if u in g.targets else", [PINNED_SEARCH]),
     # the search: one grab more than the budget allows
     (SEARCH, "if r > 0:", "if r >= 0:", [PINNED_SEARCH]),
+    # the cone: pawns projected under always-grabbing and grab-or-give
+    (ORACLE, "if not kept or g.mechanism.rule in (",
+     "if True or g.mechanism.rule in (", RESTRICTED),
+    # the cone: a hopeless successor sent to the merged target
+    (ORACLE, "edges.add((i, sink if w is None else w))",
+     "edges.add((i, goal if w is None else w))", RESTRICTED),
+    # the cone: the root's own owner pawns dropped from the live set
+    (ORACLE, "pawns = sorted(set().union(*owners))",
+     "pawns = sorted(set().union(*(own for v, own in zip(kept, owners)"
+     " if v != c.vertex)))", RESTRICTED),
+    # the search: the start's grab budget not clamped to d - |P|
+    (SEARCH, "r = min(c.grabs_left, g.d - len(c.p1_pawns))",
+     "r = c.grabs_left", [ANY_BUDGET]),
     # tb_to_optional: each player's escape edge leads to the other's goal
     (LOCKKEY, "edges.add((v, sink) if v in tb.p1_vertices else (v, goal))",
      "edges.add((v, goal) if v in tb.p1_vertices else (v, sink))",

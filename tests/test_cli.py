@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,13 @@ from pawngames import kgrab_dfs, oracle
 from pawngames.cli import main
 from pawngames.crossval import check_play
 from pawngames.gamefile import parse_game, serialize_game
-from pawngames.generators import gen_random_pawngame, serialize_atm
-from pawngames.lockkey import parse_lockkey
+from pawngames.generators import (
+    gen_atm_lockkey,
+    gen_random_atm,
+    gen_random_pawngame,
+    serialize_atm,
+)
+from pawngames.lockkey import lockkey_to_optional, parse_lockkey
 from pawngames.model import GrabRule, Mechanism, OwnershipKind
 from pawngames.turnbased import parse_tbgame
 
@@ -70,26 +76,41 @@ def test_solve_json_envelope(capsys):
     assert "time-ms" in payload["stats"]
 
 
-def test_solve_json_names_the_exact_route_and_its_work(capsys):
-    # the sweep fits the budget: states count its n * 2^d configurations
+def atm51_file(tmp_path):
+    """Compiled ATM machine 51 in optional-grabbing form, as a file: its
+    start's cone keeps 27 vertices and 23 pawns, too many to sweep."""
+    atm, word = gen_random_atm(1 + 51 % 3, seed=51)
+    game, config, _ = lockkey_to_optional(*gen_atm_lockkey(atm, word))
+    path = tmp_path / "atm51.pawngame"
+    path.write_text(serialize_game(game, config))
+    return path
+
+
+def test_solve_json_names_the_exact_route_and_its_work(capsys, tmp_path):
+    # the start's cone keeps 15 of 16 vertices and 13 of 16 pawns, and its
+    # sweep fits the budget: states count its n * 2^d configurations
     code, out, _ = run(capsys, "solve", str(DATA / "heavy_tb7_90.pawngame"),
                        "--algo", "explicit", "--json")
     payload = json.loads(out)
     assert (code, payload["winner"]) == (0, 2)
-    assert payload["stats"]["route"] == "sweep"
-    assert payload["stats"]["states"] == 16 << 16
-    # 30 pawns put the sweep past the budget; the lazy slice within two
-    # grabs of the start is small
-    code, out, _ = run(capsys, "solve", str(DATA / "kgrab_omvpp_30.pawngame"),
+    stats = payload["stats"]
+    assert (stats["route"], stats["n"], stats["d"]) == ("sweep", 15, 13)
+    assert stats["states"] == 15 << 13
+    # 23 pawns in the cone put the sweep past the budget; the lazy slice
+    # within the cone is small
+    code, out, _ = run(capsys, "solve", str(atm51_file(tmp_path)),
                        "--algo", "explicit", "--json")
     payload = json.loads(out)
     assert (code, payload["winner"]) == (0, 1)
-    assert (payload["stats"]["route"], payload["stats"]["states"]) == (
-        "lazy", 116)
+    stats = payload["stats"]
+    assert (stats["route"], stats["states"], stats["n"], stats["d"]) == (
+        "lazy", 784, 27, 23)
     # a polynomial solver runs no exact route
     code, out, _ = run(capsys, "solve", G1, "--json")
     payload = json.loads(out)
-    assert (payload["algo"], payload["stats"]["route"]) == ("alg1", None)
+    stats = payload["stats"]
+    assert (payload["algo"], stats["route"], stats["n"], stats["d"]) == (
+        "alg1", None, None, None)
 
 
 def test_json_witness_reads_no_witness(capsys, monkeypatch, tmp_path):
@@ -388,23 +409,54 @@ def test_budget_exceeded_exits_3(capsys):
     assert size and int(size[1]) > 1000, err
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["solve", "--algo", "explicit"],
-                                  ["reduce", "expand"],
+HUGE = ("pawngame huge\nmechanism optional-grabbing\npawns 100000000\n"
+        "vertex v owners=0 target\nedge v v\ninit vertex=v p1pawns=\n")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--algo", "explicit"]])
+def test_target_start_answers_whatever_the_pawn_count(capsys, tmp_path, argv):
+    # the start is a target, so its cone keeps no vertex and no pawn, and
+    # nothing of size 2**d is built
+    path = tmp_path / "huge.pawngame"
+    path.write_text(HUGE)
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, *argv, str(path))
+    assert (code, out) == (0, "winner: 1\n")
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("argv", [["reduce", "expand"],
                                   ["reduce", "optional-to-always"]])
 def test_huge_pawn_count_exits_3(capsys, tmp_path, argv):
-    # 2**d for this d has too many digits to print; it must not be built,
-    # and neither must the 2 * (d + 10) vertices that pad it for always
-    # grabbing
+    # 2**d for this d has too many digits to print; the faithful expansion
+    # must not build it, and neither must the 2 * (d + 10) vertices that pad
+    # it for always grabbing
     path = tmp_path / "huge.pawngame"
-    path.write_text("pawngame huge\nmechanism optional-grabbing\n"
-                    "pawns 100000000\nvertex v owners=0 target\nedge v v\n"
-                    "init vertex=v p1pawns=\n")
+    path.write_text(HUGE)
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (3, "")
     last = err.splitlines()[-1]
     size = ("200000021" if "optional-to-always" in argv
             else "at least 2^100000000")
     assert last.startswith("error: ") and f" {size} " in last
+
+
+@pytest.mark.parametrize("k", [250, 10**6])
+def test_search_answers_at_any_grab_budget(capsys, tmp_path, k):
+    # each grab takes a pawn that Player 1 lacks, so from no pawn of 3 the
+    # search uses at most 3 grabs of k; it once recursed n * (k + 1) deep
+    path = tmp_path / "four.pawngame"
+    path.write_text(
+        f"pawngame four\nmechanism k-grabbing {k}\npawns 3\n"
+        "vertex a owners=0\nvertex b owners=1\nvertex s owners=2\n"
+        "vertex t owners=2 target\nedge a b\nedge a s\nedge b t\n"
+        "edge b s\nedge s s\nedge t t\n"
+        f"init vertex=a p1pawns= grabs-left={k}\n")
+    code, out, err = run(capsys, "solve", str(path), "--json")
+    assert (code, json.loads(out)["winner"], json.loads(out)["algo"]) == (
+        0, 2, "kgrab-dfs")
+    code, out, err = run(capsys, "solve", str(path), "--algo", "explicit")
+    assert (code, out) == (0, "winner: 2\n")
 
 
 @pytest.mark.parametrize("argv", [["solve", "--algo", "explicit"],

@@ -3,7 +3,9 @@ budget handling and the monotonicity properties it certifies."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import random
 from pathlib import Path
 
@@ -28,8 +30,16 @@ from pawngames import (
 )
 from pawngames.cli import main
 from pawngames.crossval import check_play
-from pawngames.generators import gen_random_pawngame, gen_random_turnbased
-from pawngames.oracle import _NO_R, _expand, _unmask
+from pawngames.generators import (
+    atm_accepts_bruteforce,
+    gen_atm_lockkey,
+    gen_random_atm,
+    gen_random_pawngame,
+    gen_random_turnbased,
+)
+from pawngames.lockkey import lockkey_to_optional
+from pawngames.oracle import _NO_R, _expand, _mask, _restrict, _unmask
+from test_kgrab_ovpp import every_ovpp_game
 
 DATA = Path(__file__).parent / "data"
 
@@ -261,31 +271,70 @@ def test_sweep_budget_and_grab_budget_lookups():
             oracle.winner(0, frozenset(), bad)
 
 
+def compiled_atm(i):
+    """Machine ``i`` of the compiled ATM chain, in optional-grabbing form,
+    and whether the machine accepts its word."""
+    atm, word = gen_random_atm(1 + i % 3, seed=i)
+    game, config, _ = lockkey_to_optional(*gen_atm_lockkey(atm, word))
+    return game, config, atm_accepts_bruteforce(atm, word)
+
+
 def test_exact_route_stays_lazy_when_the_sweep_does_not_fit():
-    # one grab left among 40 pawns: the lazy slice holds the sets within one
-    # grab of the start, while the sweep's 42 * 2^40 * 2 configurations are
-    # far past the budget, so the lazy route gets the whole budget
-    game, config = gen_random_pawngame(
-        42, 40, OwnershipKind.MVPP, Mechanism.k_grabbing(1), 5
-    )
+    # the start's cone keeps 25 of the 54 vertices and 23 of the 50 pawns:
+    # the sweep's 27 * 2^23 configurations of the restricted game are still
+    # past the budget, so the lazy route gets the whole budget
+    game, config, accepts = compiled_atm(51)
     result = solve_exact(game, config)
-    assert result.route == "lazy"
-    lazy = solve_explicit(game, config)
-    assert (result.winner, result.states) == (lazy.winner, lazy.num_states)
+    assert (result.route, result.states, result.n, result.d) == (
+        "lazy", 784, 27, 23)
+    assert result.winner == solve_explicit(game, config).winner == (
+        1 if accepts else 2)
     assert check_play(game, config, result.witness(), result.winner) is None
 
 
 def test_exact_route_decides_a_slice_far_below_its_pawn_sets():
-    # 22 pawns put the sweep's words past the budget, while the lazy slice
-    # from the start is small
-    tb = gen_random_turnbased(10, 7)
-    game, config = tb_to_optional(tb, 0)
-    result = solve_exact(game, config)
-    assert (result.route, result.states) == ("lazy", 5388)
-    assert result.winner == (1 if 0 in solve_turnbased(tb).region else 2)
-    assert check_play(game, config, result.witness(), result.winner) is None
+    # 22 and 20 pawns put the full sweep past the budget, or near it; the
+    # start's cone keeps few vertices and only their pawns, so the
+    # restricted game sweeps
+    for n, seed, cone in ((10, 7, (10, 8)), (9, 3, (14, 12))):
+        tb = gen_random_turnbased(n, seed)
+        game, config = tb_to_optional(tb, 0)
+        assert (game.n, game.d) == (2 * n + 2, 2 * n + 2)
+        result = solve_exact(game, config)
+        assert (result.route, (result.n, result.d)) == ("sweep", cone)
+        assert result.states == cone[0] << cone[1]
+        assert result.winner == (1 if 0 in solve_turnbased(tb).region else 2)
+        steps = result.witness()
+        assert check_play(game, config, steps, result.winner) is None
 
 
+def test_restriction_matches_the_full_sweep_on_every_small_game():
+    # every OVPP game on 2 and 3 vertices under each mechanism: the sweep of
+    # each root's cone against the unrestricted sweep, at every pawn set
+    # and grab budget
+    checked = 0
+    for n in (2, 3):
+        pawn_sets = [frozenset(s) for size in range(n + 1)
+                     for s in itertools.combinations(range(n), size)]
+        for base in every_ovpp_game(n):
+            for mech in (Mechanism.optional(), Mechanism.always(),
+                         Mechanism.grab_or_give(), Mechanism.k_grabbing(2)):
+                game = dataclasses.replace(base, mechanism=mech)
+                full = AllConfigurations(game)
+                for v in range(n):
+                    budgets = _grab_budgets(game)
+                    cone = _restrict(game, Configuration(v, frozenset(),
+                                                         budgets[-1]))
+                    part = AllConfigurations(cone.game)
+                    w = cone.config.vertex
+                    for pawns in pawn_sets:
+                        q = _unmask(cone.compress(_mask(pawns)))
+                        for r in budgets:
+                            assert part.winner(w, q, r) == full.winner(
+                                v, pawns, r), (game, v, pawns, r)
+                            checked += 1
+    # per game: n roots, 2^n pawn sets, and 1 + 1 + 1 + 3 grab budgets
+    assert checked == 27 * 2 * 4 * 6 + 2401 * 3 * 8 * 6
 @pytest.mark.parametrize("name, states, digest", [
     ("g1", 81,
      "08d359960932e094826c636ecee5134799f09cef80c2f66eca8f02d8adaeb89a"),

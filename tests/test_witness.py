@@ -105,17 +105,32 @@ def swept_positions():
 
 def test_swept_witnesses_are_pinned():
     # the stamps that rank a swept witness, byte for byte: 495 positions,
-    # 335 of them won by Player 1
+    # 335 of them won by Player 1.  The digest was computed before each
+    # query was restricted to its cone of influence, and still holds.
     digest = hashlib.sha256()
     seen = Counter()
     for game, start in swept_positions():
         result = solve_exact(game, start)
-        digest.update(repr((result.winner, result.route, result.states,
+        digest.update(repr((result.winner, result.route,
                             result.witness())).encode())
         seen[result.route, result.winner] += 1
     assert seen == {("sweep", 1): 335, ("sweep", 2): 160}
     assert digest.hexdigest() == (
-        "2a731f653595aba428f3ad614810ff574d4ff9170fa1235cbb1abac7e29bdbf8")
+        "d3c0bb5e6be9aa77015c0e154a2278d2456907b91a8d96a27628171f411951ea")
+
+
+def test_swept_states_are_pinned():
+    # the size of each restricted game and the configurations its sweep
+    # decides: 65,050 in all, where the unrestricted sweeps decide 360,224
+    digest = hashlib.sha256()
+    total = 0
+    for game, start in swept_positions():
+        result = solve_exact(game, start)
+        digest.update(repr((result.n, result.d, result.states)).encode())
+        total += result.states
+    assert total == 65_050
+    assert digest.hexdigest() == (
+        "ed750c6292aa64778e3c48ea94383c3c486d0e33a9664ff9f0feb7a10c9c8e0d")
 
 
 def test_a_swept_witness_runs_no_second_sweep(monkeypatch):
