@@ -425,14 +425,22 @@ def test_target_start_answers_whatever_the_pawn_count(capsys, tmp_path, argv):
     assert time.monotonic() - t0 < 1
 
 
-@pytest.mark.parametrize("argv", [["reduce", "expand"],
+# under always grabbing a cone keeps every pawn, so from a start that is not
+# a target the exact route still faces all 100000000 of them
+HUGE_ALWAYS = ("pawngame huge\nmechanism always-grabbing\npawns 100000000\n"
+               "vertex v owners=0\nvertex t owners=0 target\nedge v t\n"
+               "edge v v\nedge t t\ninit vertex=v p1pawns=\n")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--algo", "explicit"],
+                                  ["reduce", "expand"],
                                   ["reduce", "optional-to-always"]])
 def test_huge_pawn_count_exits_3(capsys, tmp_path, argv):
-    # 2**d for this d has too many digits to print; the faithful expansion
-    # must not build it, and neither must the 2 * (d + 10) vertices that pad
-    # it for always grabbing
+    # 2**d for this d has too many digits to print; the exact route and the
+    # faithful expansion must not build it, and neither must the 2 * (d + 10)
+    # vertices that pad it for always grabbing
     path = tmp_path / "huge.pawngame"
-    path.write_text(HUGE)
+    path.write_text(HUGE_ALWAYS if argv[0] == "solve" else HUGE)
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (3, "")
     last = err.splitlines()[-1]
