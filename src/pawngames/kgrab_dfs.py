@@ -54,7 +54,8 @@ class KGrabSearchResult:
         def rank(u: int, q: int, s: int) -> int | None:
             return 0 if u in g.targets else search.win_rounds.get((u, q, s))
 
-        return _play(g, self._start, rank, [(1 << g.d) - 1] * g.n)
+        full = (1 << g.d) - 1
+        return _play(g, self._start, rank, lambda u, p: full)
 
 
 @dataclass

@@ -116,8 +116,7 @@ class _StateGraph:
     """Interned expansion states with side, target and successor tables.
 
     ``live[u]``: the pawns that may change hands after a move to ``u``;
-    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state, or
-    None when the slice does not hold it.
+    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state.
     A state costs ``words`` as it is added, and one past ``budget`` words is
     refused, so an exchange that offers one option per pawn stops there."""
 
@@ -280,8 +279,8 @@ def _expand(
             return ((pmask & live[v]) * n + v) * span + r + 1
         return None
 
-    sg = _StateGraph(live, lambda v, p, r: cindex.get(key(v, p, r)),
-                     budget, words)
+    sg = _StateGraph(live, lambda v, p, r: cindex[key(v, p, r)], budget,
+                     words)
     states = sg.states
     succ = sg.succ
 
@@ -334,11 +333,9 @@ class ExplicitResult:
 
     def rank(self, u: int, q: int, s: int) -> int | None:
         """The attractor level of configuration ``(u, q, s)``; None outside
-        Player 1's region or outside the slice."""
+        Player 1's region."""
         sid = self._sg.lookup(u, q, s)
-        if sid is None or not self._in_region[sid]:
-            return None
-        return self._level[sid]
+        return self._level[sid] if self._in_region[sid] else None
 
 
 def solve_explicit(
@@ -364,8 +361,9 @@ class _Cone:
     optional grabbing and k-grabbing it keeps only the live pawns, those
     that own a kept vertex, renumbered in increasing order: a dead pawn's
     exchange equals the no-exchange option.  Under always-grabbing and
-    grab-or-give every pawn stays an exchange option, unless no vertex is
-    kept.  ``config`` is the root there.
+    grab-or-give every pawn stays an exchange option, unless the root is a
+    target, where play ends before any exchange.  ``config`` is the root
+    there.
 
     ``vertex[v]`` is the vertex that ``v`` maps to (the merged target for a
     target), or None for a hopeless vertex or one that play from the root
@@ -417,8 +415,8 @@ def _restrict(g: PawnGame, c: Configuration) -> _Cone:
             edges.add((i, sink if w is None else w))
     owners = [g.owners[v] for v in kept]
     d, p1, pawns = g.d, c.p1_pawns, None
-    if not kept or g.mechanism.rule in (GrabRule.OPTIONAL,
-                                        GrabRule.K_GRABBING):
+    if c.vertex in targets or g.mechanism.rule in (GrabRule.OPTIONAL,
+                                                   GrabRule.K_GRABBING):
         pawns = sorted(set().union(*owners))
         new = {j: i for i, j in enumerate(pawns)}
         owners = [frozenset(new[j] for j in own) for own in owners]
@@ -435,27 +433,48 @@ def _restrict(g: PawnGame, c: Configuration) -> _Cone:
 @dataclass
 class ExactResult:
     """Winner of ``solve_exact``, the route that decided it (``"lazy"`` or
-    ``"sweep"``), the work done (the lazy states, or every configuration of
-    the sweep) and the size ``n``, ``d`` of the restricted game it solved."""
+    ``"sweep"``) and the work done (the lazy states, or every configuration
+    of the sweep).  ``n`` and ``d`` are the size of the restricted game it
+    solved."""
 
     winner: int
     route: str
     states: int
-    n: int
-    d: int
     _game: PawnGame
     _config: Configuration
     _cone: _Cone
     _solved: ExplicitResult | AllConfigurations
 
+    @property
+    def n(self) -> int:
+        return self._cone.game.n
+
+    @property
+    def d(self) -> int:
+        return self._cone.game.d
+
     def witness(self) -> list[tuple]:
         """The winner's play in the original game against a delaying
         adversary, in ``witness_play``'s steps.  The route's rank is read
         through the cone's maps: a target takes the merged target's rank,
-        and a vertex outside the cone takes None."""
+        and a vertex outside the cone takes None.  Where the cone keeps
+        only the live pawns, every dead pawn's exchange leads to the same
+        configuration of the cone: a take-back ties with the no-exchange
+        option before it, and of the grabs the lowest comes first.  So the
+        walk offers the live pawns and that one dead pawn, and never reads
+        the pawn ids that no kept vertex owns."""
         g, c, cone = self._game, self._config, self._cone
         if self.route == "lazy":
-            rank = self._solved.rank
+            solved = self._solved
+
+            def rank(u: int, q: int, s: int):
+                # a k-grab of a pawn that is dead at u lands on a grab layer
+                # that the slice need not hold; the keep option beside it
+                # is held, and wins whenever the grab would
+                try:
+                    return solved.rank(u, q, s)
+                except KeyError:
+                    return None
         else:
             h = cone.config
             rank = self._solved.ranker(h.vertex, h.p1_pawns, h.grabs_left)
@@ -464,9 +483,15 @@ class ExactResult:
             w = cone.vertex[u]
             return None if w is None else rank(w, cone.compress(q), s)
 
+        live = (1 << g.d) - 1 if cone.pawns is None else _mask(cone.pawns)
+
+        def allowed(u: int, p: int) -> int:
+            held = p | live
+            dead = ~held & (held + 1)  # the lowest pawn in neither
+            return live | dead if dead >> g.d == 0 else live
+
         r = c.grabs_left if c.grabs_left is not None else _NO_R
-        return _play(g, (c.vertex, _mask(c.p1_pawns), r), lifted,
-                     [(1 << g.d) - 1] * g.n)
+        return _play(g, (c.vertex, _mask(c.p1_pawns), r), lifted, allowed)
 
 
 def solve_exact(
@@ -486,7 +511,7 @@ def solve_exact(
     else:
         route, states = "sweep", solved.size
         winner = solved.winner(hc.vertex, hc.p1_pawns, hc.grabs_left)
-    return ExactResult(winner, route, states, h.n, h.d, g, c, cone, solved)
+    return ExactResult(winner, route, states, g, c, cone, solved)
 
 
 def _pawn_masks(d: int) -> list[int]:
@@ -599,10 +624,9 @@ class AllConfigurations:
                 grabs_left: int | None = None) -> list[tuple]:
         """The winner's play from a configuration, ranked by ``ranker``;
         see ``_play``."""
-        g = self.game
-        return _play(g, (v, _mask(p1_pawns), grabs_left or 0),
-                     self.ranker(v, p1_pawns, grabs_left),
-                     [(1 << g.d) - 1] * g.n)
+        full = (1 << self.game.d) - 1
+        return _play(self.game, (v, _mask(p1_pawns), grabs_left or 0),
+                     self.ranker(v, p1_pawns, grabs_left), lambda u, p: full)
 
     def ranker(self, v: int, p1_pawns: frozenset[int],
                grabs_left: int | None = None):
@@ -712,16 +736,16 @@ def _unmask(m: int) -> frozenset[int]:
 
 
 def _play(g: PawnGame, start: tuple[int, int, int], rank,
-          allowed: list[int]) -> list[tuple]:
+          allowed) -> list[tuple]:
     """The winner's play from configuration ``start = (v, p, r)`` against a
     delaying adversary, as ``("move", u)`` then ``("grab", j)``,
     ``("give", j)`` or ``("nograb",)`` steps.
 
     ``rank(u, q, s)`` is None outside Player 1's region and falls towards
-    the targets inside it; after a move to ``u`` only pawns in
-    ``allowed[u]`` change hands.  Player 1 takes the option of lowest rank;
-    Player 2 takes one outside the region if she can, else the highest
-    rank.  So when Player 1 wins, ranks fall until a target; when Player 2
+    the targets inside it; after a move to ``u`` from pawn mask ``p`` only
+    pawns in ``allowed(u, p)`` change hands.  Player 1 takes the option of
+    lowest rank; Player 2 takes one outside the region if she can, else the
+    highest rank.  So when Player 1 wins, ranks fall until a target; when Player 2
     wins, she stays outside the region until a configuration repeats, which
     ends the play in ``("cycle",)``.
     """
@@ -745,7 +769,7 @@ def _play(g: PawnGame, start: tuple[int, int, int], rank,
         chooser = 1 if kgrab else 3 - mover
         replies = [pick(chooser, [
             (score(u, q, s), (u, q, s))
-            for q, s in exchange_options(p, r, chooser, allowed[u])
+            for q, s in exchange_options(p, r, chooser, allowed(u, p))
         ]) for u in g.succ[v]]
         _, (u, q, s) = pick(mover, replies)
         steps += [("move", u), _exchange_step(g, mover, p, q)]
@@ -758,7 +782,8 @@ def _play(g: PawnGame, start: tuple[int, int, int], rank,
 def witness_play(g: PawnGame, result: ExplicitResult) -> list[tuple]:
     """The winner's play from the solved configuration, ranked by attractor
     level in the lazy slice; see ``_play``."""
-    return _play(g, result._start, result.rank, result._sg.live)
+    live = result._sg.live
+    return _play(g, result._start, result.rank, lambda u, p: live[u])
 
 
 def _exchange_step(g: PawnGame, moved_by: int, pmask: int, npmask: int):

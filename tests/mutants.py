@@ -113,7 +113,7 @@ MUTANTS = [
     # the search: one grab more than the budget allows
     (SEARCH, "if r > 0:", "if r >= 0:", [PINNED_SEARCH]),
     # the cone: pawns projected under always-grabbing and grab-or-give
-    (ORACLE, "if not kept or g.mechanism.rule in (",
+    (ORACLE, "if c.vertex in targets or g.mechanism.rule in (",
      "if True or g.mechanism.rule in (", RESTRICTED),
     # the cone: a hopeless successor sent to the merged target
     (ORACLE, "edges.add((i, sink if w is None else w))",
@@ -122,6 +122,10 @@ MUTANTS = [
     (ORACLE, "pawns = sorted(set().union(*owners))",
      "pawns = sorted(set().union(*(own for v, own in zip(kept, owners)"
      " if v != c.vertex)))", RESTRICTED),
+    # the cone's witness: no dead pawn offered, so no k-grab spends a grab
+    # on one where the unrestricted witness does
+    (ORACLE, "return live | dead if dead >> g.d == 0 else live",
+     "return live", SWEPT),
     # the search: the start's grab budget not clamped to d - |P|
     (SEARCH, "r = min(c.grabs_left, g.d - len(c.p1_pawns))",
      "r = c.grabs_left", [ANY_BUDGET]),

@@ -449,6 +449,41 @@ def test_huge_pawn_count_exits_3(capsys, tmp_path, argv):
     assert last.startswith("error: ") and f" {size} " in last
 
 
+HUGE_FROM_V = ("pawngame huge\nmechanism {}\npawns 100000000\n"
+               "vertex v owners=0\nvertex t owners=0 target\nedge v {}\n"
+               "edge v v\nedge t t\ninit vertex=v p1pawns={}\n")
+
+
+@pytest.mark.parametrize("mechanism, edge, init, argv, says", [
+    ("optional-grabbing", "t", "", ["solve", "--witness"],
+     "winner: 1\nmove v\ngrab 0\nmove t\nnograb\n"),
+    ("optional-grabbing", "t", "", ["solve", "--algo", "explicit",
+                                    "--witness"],
+     "winner: 1\nmove v\ngrab 0\nmove t\nnograb\n"),
+    ("k-grabbing 2", "t", " grabs-left=2", ["solve", "--algo", "explicit",
+                                           "--witness"],
+     "winner: 1\nmove v\ngrab 0\nmove t\ngrab 1\n"),
+    # a hopeless start: under always grabbing its cone keeps every pawn
+    ("always-grabbing", "v", "", ["solve", "--algo", "explicit",
+                                  "--witness"], None),
+])
+def test_huge_witness_reads_only_the_cone_pawns(capsys, tmp_path, mechanism,
+                                                edge, init, argv, says):
+    # the cone of v keeps pawn 0 alone, so each exchange of the witness
+    # offers pawn 0 and the lowest of the 99999999 dead pawns, which all
+    # lead to the same configuration of the cone
+    path = tmp_path / "huge.pawngame"
+    path.write_text(HUGE_FROM_V.format(mechanism, edge, init))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv, str(path))
+    assert time.monotonic() - t0 < 1
+    if says is None:
+        assert (code, out) == (3, "")
+        assert " at least 2^100000000 " in err
+    else:
+        assert (code, out) == (0, says)
+
+
 @pytest.mark.parametrize("k", [250, 10**6])
 def test_search_answers_at_any_grab_budget(capsys, tmp_path, k):
     # each grab takes a pawn that Player 1 lacks, so from no pawn of 3 the

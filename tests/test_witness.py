@@ -121,16 +121,16 @@ def test_swept_witnesses_are_pinned():
 
 def test_swept_states_are_pinned():
     # the size of each restricted game and the configurations its sweep
-    # decides: 65,050 in all, where the unrestricted sweeps decide 360,224
+    # decides: 70,614 in all, where the unrestricted sweeps decide 360,224
     digest = hashlib.sha256()
     total = 0
     for game, start in swept_positions():
         result = solve_exact(game, start)
         digest.update(repr((result.n, result.d, result.states)).encode())
         total += result.states
-    assert total == 65_050
+    assert total == 70_614
     assert digest.hexdigest() == (
-        "ed750c6292aa64778e3c48ea94383c3c486d0e33a9664ff9f0feb7a10c9c8e0d")
+        "0aa8fc54063aac19804af0d5ba7e839dcc0ee9aaa58d8cfd969706fdf4f2fdef")
 
 
 def test_a_swept_witness_runs_no_second_sweep(monkeypatch):
