@@ -26,7 +26,7 @@ from .generators import (
     set_cover_exists,
 )
 from .grab_or_give import solve_grab_or_give
-from .kgrab_dfs import solve_kgrab_dfs
+from .kgrab_dfs import KGrabSearchResult, solve_kgrab_dfs
 from .kgrab_ovpp import minimum_grabs
 from .lockkey import (
     GadgetRegistry,
@@ -179,16 +179,25 @@ def suite_dfs(seed: int, count: int) -> list[str]:
             failures.append(_counterexample(
                 game, config, f"search winner {result.winner}, oracle {want}"
             ))
-        elif result.winner == 1:
-            steps = result.witness()
-            note = check_play(game, config, steps, 1)
-            rounds = sum(step[0] == "move" for step in steps)
-            cap = game.n * (config.grabs_left + 1)  # the paper's bound
-            if note is None and rounds > cap:
-                note = f"witness uses {rounds} rounds, cap is {cap}"
-            if note:
-                failures.append(_counterexample(game, config, note))
+        elif note := _search_witness_note(game, config, result):
+            failures.append(_counterexample(game, config, note))
     return failures
+
+
+def _search_witness_note(game: PawnGame, config: Configuration,
+                         result: KGrabSearchResult) -> str | None:
+    """``check_play``'s note on the search's Player 1 witness, or on its
+    length past the paper's ``|V| * (k + 1)`` rounds; None if it holds or
+    Player 2 wins."""
+    if result.winner != 1:
+        return None
+    steps = result.witness()
+    note = check_play(game, config, steps, 1)
+    rounds = sum(step[0] == "move" for step in steps)
+    cap = game.n * (config.grabs_left + 1)
+    if note is None and rounds > cap:
+        note = f"witness uses {rounds} rounds, cap is {cap}"
+    return note
 
 
 def check_play(game: PawnGame, config: Configuration, steps,
@@ -413,7 +422,8 @@ def _subsets(p):
 
 
 def suite_setcover(seed: int, count: int) -> list[str]:
-    """Game winner iff a small cover exists, by search and by oracle."""
+    """Game winner iff a small cover exists, by search and by oracle;
+    the search's Player 1 witness is refereed."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
@@ -427,13 +437,15 @@ def suite_setcover(seed: int, count: int) -> list[str]:
         k = rng.randint(0, min(m, 3))
         game, config = gen_setcover(n, sets, k)
         want = 1 if set_cover_exists(n, sets, k) else 2
-        searched = solve_kgrab_dfs(game, config).winner
+        searched = solve_kgrab_dfs(game, config)
         checked = solve_explicit(game, config).winner
-        if searched != want or checked != want:
+        if searched.winner != want or checked != want:
             failures.append(_counterexample(
-                game, config,
-                f"cover exists={want == 1}, search {searched}, oracle {checked}"
+                game, config, f"cover exists={want == 1}, "
+                f"search {searched.winner}, oracle {checked}"
             ))
+        elif note := _search_witness_note(game, config, searched):
+            failures.append(_counterexample(game, config, note))
     return failures
 
 
@@ -452,19 +464,22 @@ def gen_random_qbf(seed: int) -> QbfSpec:
 
 
 def suite_tqbf(seed: int, count: int) -> list[str]:
-    """Game winner iff the formula is true, by search and by oracle."""
+    """Game winner iff the formula is true, by search and by oracle; the
+    search's Player 1 witness is refereed."""
     failures = []
     for i in range(count):
         qbf = gen_random_qbf(seed * 100_003 + i)
         game, config = gen_tqbf(qbf)
         want = 1 if qbf_eval(qbf) else 2
-        searched = solve_kgrab_dfs(game, config).winner
+        searched = solve_kgrab_dfs(game, config)
         checked = solve_explicit(game, config).winner
-        if searched != want or checked != want:
+        if searched.winner != want or checked != want:
             failures.append(_counterexample(
-                game, config,
-                f"formula true={want == 1}, search {searched}, oracle {checked}"
+                game, config, f"formula true={want == 1}, "
+                f"search {searched.winner}, oracle {checked}"
             ))
+        elif note := _search_witness_note(game, config, searched):
+            failures.append(_counterexample(game, config, note))
     return failures
 
 

@@ -1,12 +1,23 @@
 """Depth-first decision procedure for k-grabbing games of any ownership kind.
 
-If Player 1 can win at all, he can win within ``|V| * (k + 1)`` rounds, where
-``k`` counts the grabs he can use, at most ``d - |P|`` from pawn set ``P``:
-his pawn set only ever grows, so a longer play would close a grab-free
-cycle that Player 2 could repeat forever.  The search therefore explores the
-unwinding of the configuration graph to that depth.  Nodes where Player 1
-moves, and every grab decision, are OR nodes; Player 2's move choices are
-AND nodes.  A node at the cap that is not on a target counts as a loss.
+Grabs are made just in time.  Player 1 moves at a vertex when he holds any
+pawn that owns it, and more pawns never hurt him, so a grab matters only
+when the token enters a vertex he does not control.  After a move to ``u``
+the search offers no grab, and then, only if he controls ``u`` with none of
+his pawns, a grab of each pawn owning ``u``.  This loses no win: follow a
+winning strategy of the full game, and grab an owner of ``u`` only when the
+strategy's pawn set controls ``u`` and the held one does not.  The held set
+stays inside the strategy's, so it spends no more grabs, the same player
+moves at every vertex, and the play is the same.
+
+If Player 1 can win this pruned game at all, he can win within
+``|V| * (k + 1)`` rounds, where ``k`` counts the grabs he can use, at most
+``d - |P|`` from pawn set ``P``: an attractor strategy never repeats a
+configuration, and between two grabs only the vertex changes.  The search
+therefore explores the unwinding of the pruned configuration graph to that
+depth.  Nodes where Player 1 moves, and every grab decision, are OR nodes;
+Player 2's move choices are AND nodes.  A node at the cap that is not on a
+target counts as a loss.
 
 The transposition cache stores proven wins keyed by configuration together
 with the number of rounds they need; a cached win is reused only when the
@@ -15,7 +26,7 @@ absolute: failures are remembered with the budget they were proven at and
 only short-circuit searches with at most that budget, which is sound
 because shrinking the budget can never turn a loss into a win.  A Player 1
 win's witness is the oracle's one play walk, ``_play``, ranked by the
-cached rounds.
+cached rounds and offered the same grabs as the search.
 """
 
 from __future__ import annotations
@@ -54,8 +65,9 @@ class KGrabSearchResult:
         def rank(u: int, q: int, s: int) -> int | None:
             return 0 if u in g.targets else search.win_rounds.get((u, q, s))
 
-        full = (1 << g.d) - 1
-        return _play(g, self._start, rank, lambda u, p: full)
+        omask = search.omask
+        return _play(g, self._start, rank,
+                     lambda u, p: 0 if omask[u] & p else omask[u])
 
 
 @dataclass
@@ -121,15 +133,15 @@ class _Search:
         return found
 
     def _exchanges(self, u: int, pmask: int, r: int):
-        """Grab alternatives after moving to ``u``: no grab first, then the
-        pawns owning ``u``, then the rest.  The order is a tunable, not a
-        semantic."""
+        """Grab alternatives after moving to ``u``: no grab first, then,
+        only if Player 1 controls ``u`` with none of his pawns, a grab of
+        each pawn owning ``u``.  A grab matters only where it hands him the
+        move (see the module docstring), so these options win exactly where
+        all ``d`` grabs do, within the same rounds cap."""
         yield pmask, r
-        if r > 0:
+        if r > 0 and not self.omask[u] & pmask:
             for j in self.grab_order[u]:
-                bit = 1 << j
-                if not pmask & bit:
-                    yield pmask | bit, r - 1
+                yield pmask | 1 << j, r - 1
 
 
 def solve_kgrab_dfs(g: PawnGame, c: Configuration) -> KGrabSearchResult:
@@ -141,12 +153,7 @@ def solve_kgrab_dfs(g: PawnGame, c: Configuration) -> KGrabSearchResult:
     if g.mechanism.rule is not GrabRule.K_GRABBING:
         raise SolverPreconditionError("search handles k-grabbing only")
     validate_configuration(g, c)
-    grab_order = []
-    for v in range(g.n):
-        owning = sorted(g.owners[v])
-        rest = [j for j in range(g.d) if j not in g.owners[v]]
-        grab_order.append(owning + rest)
-
+    grab_order = [sorted(owners) for owners in g.owners]
     search = _Search(g, _owner_masks(g), grab_order)
     r = min(c.grabs_left, g.d - len(c.p1_pawns))
     start = (c.vertex, _mask(c.p1_pawns), r)

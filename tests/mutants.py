@@ -40,6 +40,13 @@ WITNESSES = [
 ]
 SWEPT = ["tests/test_witness.py::test_swept_witnesses_are_pinned"]
 PINNED_SEARCH = "tests/test_kgrab_dfs.py::test_search_winners_are_pinned"
+SEARCH_WORK = [
+    PINNED_SEARCH,
+    "tests/test_kgrab_dfs.py::"
+    "test_search_work_on_a_set_cover_instance_is_pinned",
+]
+SMALL_SEARCH = ("tests/test_kgrab_dfs.py::"
+                "test_search_matches_the_sweep_on_every_small_game")
 RESTRICTED = [
     "tests/test_oracle.py::"
     "test_restriction_matches_the_full_sweep_on_every_small_game",
@@ -111,7 +118,20 @@ MUTANTS = [
     (SEARCH, "return 0 if u in g.targets else",
      "return None if u in g.targets else", [PINNED_SEARCH]),
     # the search: one grab more than the budget allows
-    (SEARCH, "if r > 0:", "if r >= 0:", [PINNED_SEARCH]),
+    (SEARCH, "if r > 0 and not self.omask[u] & pmask:",
+     "if r >= 0 and not self.omask[u] & pmask:", [PINNED_SEARCH]),
+    # the search: a grab offered even where Player 1 controls the vertex
+    # just entered; no winner changes, only the work
+    (SEARCH, "if r > 0 and not self.omask[u] & pmask:", "if r > 0:",
+     SEARCH_WORK),
+    # the search: any pawn offered as a grab, not only the vertex's owners;
+    # no winner changes, only the work
+    (SEARCH, "grab_order = [sorted(owners) for owners in g.owners]",
+     "grab_order = [list(range(g.d)) for owners in g.owners]", SEARCH_WORK),
+    # the search: a grab offered only where Player 1 already controls the
+    # vertex just entered
+    (SEARCH, "if r > 0 and not self.omask[u] & pmask:",
+     "if r > 0 and self.omask[u] & pmask:", [SMALL_SEARCH]),
     # the cone: pawns projected under always-grabbing and grab-or-give
     (ORACLE, "if c.vertex in targets or g.mechanism.rule in (",
      "if True or g.mechanism.rule in (", RESTRICTED),

@@ -484,6 +484,27 @@ def test_huge_witness_reads_only_the_cone_pawns(capsys, tmp_path, mechanism,
         assert (code, out) == (0, says)
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["solve"], "winner: 1\n"),
+    (["solve", "--witness"], "winner: 1\nmove v\ngrab 0\nmove t\nnograb\n"),
+    (["solve", "--json"], None),
+], ids=["solve", "solve-witness", "solve-json"])
+def test_search_grabs_only_owners_whatever_the_pawn_count(capsys, tmp_path,
+                                                          argv, says):
+    # the search offers a grab only of an owner of the vertex just entered,
+    # so none of its options lists the 100000000 pawns
+    path = tmp_path / "huge.pawngame"
+    path.write_text(HUGE_FROM_V.format("k-grabbing 2", "t", " grabs-left=2"))
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, *argv, str(path))
+    assert time.monotonic() - t0 < 1
+    if says is None:
+        assert (code, json.loads(out)["winner"], json.loads(out)["algo"]) == (
+            0, 1, "kgrab-dfs")
+    else:
+        assert (code, out) == (0, says)
+
+
 @pytest.mark.parametrize("k", [250, 10**6])
 def test_search_answers_at_any_grab_budget(capsys, tmp_path, k):
     # each grab takes a pawn that Player 1 lacks, so from no pawn of 3 the

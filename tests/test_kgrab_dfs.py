@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from pawngames import (
     Configuration,
     Mechanism,
     OwnershipKind,
+    PawnGame,
     SolverPreconditionError,
     solve_explicit,
     solve_kgrab_dfs,
@@ -18,6 +20,7 @@ from pawngames import (
 from pawngames.crossval import check_play, suite_dfs
 from pawngames.gamefile import parse_game
 from pawngames.generators import gen_random_pawngame, gen_setcover, set_cover_exists
+from pawngames.oracle import AllConfigurations
 
 FIG5_SETS = [frozenset({1}), frozenset({1, 2}), frozenset({2, 3})]
 
@@ -81,14 +84,18 @@ def test_the_witness_plays_against_a_delaying_adversary():
 def test_search_winners_are_pinned():
     # sha256 of the winners on 3,000 seeded games, computed before the
     # witness walk moved to the oracle's play; every Player 1 witness is
-    # refereed and stays within the paper's |V| * (k + 1) rounds
+    # refereed and stays within the paper's |V| * (k + 1) rounds.  The
+    # nodes pin the search's work, which a wasted grab option changes and
+    # the winners do not
     rng = random.Random(2025)
     digest = hashlib.sha256()
+    nodes = 0
     for i in range(3000):
         n, d, k = rng.randint(2, 8), rng.randint(2, 6), rng.randint(0, 3)
         game, config = gen_random_pawngame(
             n, d, OwnershipKind.OMVPP, Mechanism.k_grabbing(k), 7000 + i)
         result = solve_kgrab_dfs(game, config)
+        nodes += result.nodes
         digest.update(f"{i}:{result.winner};".encode())
         if result.winner == 1:
             steps = result.witness()
@@ -97,3 +104,68 @@ def test_search_winners_are_pinned():
             assert rounds <= game.n * (config.grabs_left + 1), i
     assert digest.hexdigest() == (
         "0bd466ce1b129868ba2625cfffb7acdb15eb8ef111d94f51a011ef0413ec57c2")
+    assert nodes == 34655
+
+
+def test_search_work_on_a_set_cover_instance_is_pinned():
+    # 12 elements, 11 sets of density 0.3 and 4 grabs, as in the benchmark's
+    # heaviest set-cover jobs, where a wasted grab option costs the most
+    rng = random.Random(4)
+    sets = [frozenset(e for e in range(1, 13) if rng.random() < 0.3)
+            or frozenset({rng.randint(1, 12)}) for _ in range(11)]
+    game, config = gen_setcover(12, sets, 4)
+    assert set_cover_exists(12, sets, 4)
+    result = solve_kgrab_dfs(game, config)
+    assert (result.winner, result.nodes) == (1, 28248)
+    assert check_play(game, config, result.witness(), 1) is None
+
+
+def every_small_kgrab_game(n, d):
+    """Every k-grabbing game on ``n`` vertices and ``d`` pawns, with
+    ``k = d``, up to vertex renaming: every vertex has a non-empty owner set
+    and out-set, and some vertex is a target."""
+    perms = list(itertools.permutations(range(n)))
+    # per renaming: the image of each vertex mask, and the old vertex
+    # behind each new one
+    images = [([sum(1 << perm[v] for v in range(n) if m >> v & 1)
+                for m in range(1 << n)],
+               [perm.index(w) for w in range(n)]) for perm in perms]
+    owner_sets = [frozenset(s) for size in range(1, d + 1)
+                  for s in itertools.combinations(range(d), size)]
+    masks = range(1, 1 << n)
+    seen = set()
+    for owners in itertools.product(range(len(owner_sets)), repeat=n):
+        for outs in itertools.product(masks, repeat=n):
+            for targets in masks:
+                if (owners, outs, targets) in seen:
+                    continue
+                for image, inverse in images:
+                    seen.add((tuple(owners[v] for v in inverse),
+                              tuple(image[outs[v]] for v in inverse),
+                              image[targets]))
+                yield PawnGame(
+                    n=n, d=d, owners=tuple(owner_sets[i] for i in owners),
+                    edges=frozenset((u, v) for u in range(n)
+                                    for v in range(n) if outs[u] >> v & 1),
+                    targets=frozenset(v for v in range(n) if targets >> v & 1),
+                    mechanism=Mechanism.k_grabbing(d))
+
+
+def test_search_matches_the_sweep_on_every_small_game():
+    # every MVPP and OMVPP k-grabbing game on 3 vertices and 1 or 2 pawns,
+    # at every configuration: the search grabs just in time, the sweep
+    # offers every grab
+    games = checked = 0
+    for d in (1, 2):
+        pawn_sets = [frozenset(s) for size in range(d + 1)
+                     for s in itertools.combinations(range(d), size)]
+        for game in every_small_kgrab_game(3, d):
+            games += 1
+            full = AllConfigurations(game)
+            for v, pawns, r in itertools.product(range(3), pawn_sets,
+                                                 range(d + 1)):
+                got = solve_kgrab_dfs(game, Configuration(v, pawns, r)).winner
+                assert got == full.winner(v, pawns, r), (game, v, pawns, r)
+                checked += 1
+    # per game: 3 vertices, 2^d pawn sets and d + 1 grab budgets
+    assert (games, checked) == (434 + 11095, 434 * 12 + 11095 * 36)
