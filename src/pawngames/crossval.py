@@ -9,6 +9,7 @@ re-parsed and replayed deterministically.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from .gamefile import serialize_game
@@ -127,11 +128,13 @@ def suite_gog(seed: int, count: int) -> list[str]:
     return failures
 
 
-def _some_pawn_sets(rng: random.Random, d: int, cap: int = 64):
-    if 2 ** d <= cap:
+def _some_pawn_sets(rng: random.Random, d: int):
+    """Every pawn set of ``d`` pawns when there are at most 64, else 64
+    random ones."""
+    if 2 ** d <= 64:
         return list(_subsets(range(d)))
     return [
-        frozenset(j for j in range(d) if rng.random() < 0.5) for _ in range(cap)
+        frozenset(j for j in range(d) if rng.random() < 0.5) for _ in range(64)
     ]
 
 
@@ -312,7 +315,7 @@ def _gadget_harness(parts: list[str], closed: frozenset[int]):
         cur = vout
     b.add_edge(cur, reg.goal)
     p1 = {entry_pawn} | _gadget_state_pawns(reg, closed)
-    return b.build(Mechanism.optional(), entry, p1)
+    return b.build(entry, p1)
 
 
 def suite_gadgets(seed: int = 0, count: int = 0) -> list[str]:
@@ -351,11 +354,7 @@ def suite_monotonic(seed: int, count: int) -> list[str]:
             n, d, OwnershipKind.MVPP, Mechanism.optional(), seed * 100_003 + i
         )
         for mech in (Mechanism.optional(), Mechanism.always()):
-            variant = PawnGame(
-                n=game.n, edges=game.edges, targets=game.targets, d=game.d,
-                owners=game.owners, mechanism=mech, names=game.names,
-                name=game.name,
-            )
+            variant = dataclasses.replace(game, mechanism=mech)
             oracle = AllConfigurations(variant)
             note = _check_subset_monotone(variant, oracle)
             if note:
@@ -436,16 +435,8 @@ def suite_setcover(seed: int, count: int) -> list[str]:
         ]
         k = rng.randint(0, min(m, 3))
         game, config = gen_setcover(n, sets, k)
-        want = 1 if set_cover_exists(n, sets, k) else 2
-        searched = solve_kgrab_dfs(game, config)
-        checked = solve_explicit(game, config).winner
-        if searched.winner != want or checked != want:
-            failures.append(_counterexample(
-                game, config, f"cover exists={want == 1}, "
-                f"search {searched.winner}, oracle {checked}"
-            ))
-        elif note := _search_witness_note(game, config, searched):
-            failures.append(_counterexample(game, config, note))
+        failures += _reduction_case(game, config, set_cover_exists(n, sets, k),
+                                    "cover exists")
     return failures
 
 
@@ -469,18 +460,27 @@ def suite_tqbf(seed: int, count: int) -> list[str]:
     failures = []
     for i in range(count):
         qbf = gen_random_qbf(seed * 100_003 + i)
-        game, config = gen_tqbf(qbf)
-        want = 1 if qbf_eval(qbf) else 2
-        searched = solve_kgrab_dfs(game, config)
-        checked = solve_explicit(game, config).winner
-        if searched.winner != want or checked != want:
-            failures.append(_counterexample(
-                game, config, f"formula true={want == 1}, "
-                f"search {searched.winner}, oracle {checked}"
-            ))
-        elif note := _search_witness_note(game, config, searched):
-            failures.append(_counterexample(game, config, note))
+        failures += _reduction_case(*gen_tqbf(qbf), qbf_eval(qbf),
+                                    "formula true")
     return failures
+
+
+def _reduction_case(game: PawnGame, config: Configuration, holds: bool,
+                    claim: str) -> list[str]:
+    """The failures of one reduced instance: Player 1 must win, by the
+    search and by ``solve_explicit``, iff the source instance ``holds``, and
+    the search's Player 1 witness must pass ``check_play``."""
+    want = 1 if holds else 2
+    searched = solve_kgrab_dfs(game, config)
+    checked = solve_explicit(game, config).winner
+    if searched.winner != want or checked != want:
+        return [_counterexample(
+            game, config, f"{claim}={holds}, "
+            f"search {searched.winner}, oracle {checked}"
+        )]
+    if note := _search_witness_note(game, config, searched):
+        return [_counterexample(game, config, note)]
+    return []
 
 
 def suite_atm(seed: int, count: int) -> list[str]:

@@ -533,10 +533,9 @@ def gen_random_pawngame(
     kind: OwnershipKind,
     mechanism: Mechanism,
     seed: int,
-    extra_edges: float = 1.0,
-    name: str | None = None,
 ) -> tuple[PawnGame, Configuration]:
-    """Seed-deterministic random game of the requested ownership kind."""
+    """Seed-deterministic random game of the requested ownership kind,
+    with ``n_vertices`` random edges beside one out-edge per vertex."""
     rng = random.Random(seed)
     n, d = n_vertices, n_pawns
     if n < 1:
@@ -553,7 +552,7 @@ def gen_random_pawngame(
     edges = set()
     for v in range(n):
         edges.add((v, rng.randrange(n)))
-    for _ in range(int(extra_edges * n)):
+    for _ in range(n):
         edges.add((rng.randrange(n), rng.randrange(n)))
     targets = frozenset(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
 
@@ -584,7 +583,7 @@ def gen_random_pawngame(
         owners=tuple(owners),
         mechanism=mechanism,
         names=tuple(f"v{v}" for v in range(n)),
-        name=name or f"random{seed}",
+        name=f"random{seed}",
     )
     if classify(game) is not kind:
         # overlap draw may have collapsed; force a second owner somewhere
@@ -594,13 +593,14 @@ def gen_random_pawngame(
     return game, Configuration(rng.randrange(n), pawns, grabs)
 
 
-def gen_random_turnbased(n: int, seed: int, extra_edges: float = 1.0) -> TurnBasedGame:
-    """Random dead-end-free turn-based game."""
+def gen_random_turnbased(n: int, seed: int) -> TurnBasedGame:
+    """Random dead-end-free turn-based game: one out-edge per vertex and
+    ``n`` more random edges."""
     rng = random.Random(seed)
     succ: list[set[int]] = [set() for _ in range(n)]
     for v in range(n):
         succ[v].add(rng.randrange(n))
-    for _ in range(int(extra_edges * n)):
+    for _ in range(n):
         succ[rng.randrange(n)].add(rng.randrange(n))
     return TurnBasedGame(
         n=n,

@@ -95,32 +95,24 @@ class _Search:
             return None
         self.nodes += 1
 
-        if self.omask[v] & pmask:
-            found = None
-            for u in g.succ[v]:
-                for npmask, nr in self._exchanges(u, pmask, r):
-                    sub = self.value(u, npmask, nr, budget - 1)
-                    if sub is not None:
-                        found = 1 + sub
-                        break
-                if found is not None:
+        # an OR step stops at the first proven reply, an AND step at the
+        # first failed one; a reply is the first proven grab alternative
+        p1 = self.omask[v] & pmask
+        found = None if p1 else 0
+        for u in g.succ[v]:
+            for npmask, nr in self._exchanges(u, pmask, r):
+                reply = self.value(u, npmask, nr, budget - 1)
+                if reply is not None:
                     break
-        else:
-            worst = 0
-            found = None
-            for u in g.succ[v]:
-                reply = None
-                for npmask, nr in self._exchanges(u, pmask, r):
-                    sub = self.value(u, npmask, nr, budget - 1)
-                    if sub is not None:
-                        reply = sub
-                        break
-                if reply is None:
-                    worst = None
+            if p1:
+                if reply is not None:
+                    found = 1 + reply
                     break
-                worst = max(worst, reply)
-            if worst is not None:
-                found = 1 + worst
+            elif reply is None:
+                found = None
+                break
+            else:
+                found = max(found, 1 + reply)
 
         if found is not None:
             old = self.win_rounds.get(key)

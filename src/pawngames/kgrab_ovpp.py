@@ -25,7 +25,6 @@ at its grab budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import SolverPreconditionError
 from .model import (
@@ -37,16 +36,6 @@ from .model import (
     validate_configuration,
 )
 from .turnbased import attract
-
-
-@dataclass(frozen=True)
-class MinGrabMap:
-    """``eta[v]`` is the least grab budget winning from ``v``; inf if none."""
-
-    eta: tuple[float, ...]
-
-    def __getitem__(self, v: int) -> float:
-        return self.eta[v]
 
 
 def _vertex_control(g: PawnGame, p0_pawns: frozenset[int]) -> frozenset[int]:
@@ -103,10 +92,12 @@ def _require_ovpp_kgrab(g: PawnGame) -> None:
         raise SolverPreconditionError("minimum grabs need one vertex per pawn")
 
 
-def minimum_grabs(g: PawnGame, p0_pawns: frozenset[int]) -> MinGrabMap:
-    """Least number of grabs Player 1 needs from each vertex, given ``p0_pawns``."""
+def minimum_grabs(g: PawnGame, p0_pawns: frozenset[int]) -> tuple[float, ...]:
+    """Least number of grabs Player 1 needs from each vertex, given
+    ``p0_pawns``: entry ``v`` is the least grab budget winning from ``v``,
+    inf if none."""
     _require_ovpp_kgrab(g)
-    return MinGrabMap(tuple(_layered_labels(g, _vertex_control(g, p0_pawns))))
+    return tuple(_layered_labels(g, _vertex_control(g, p0_pawns)))
 
 
 def solve_kgrab_ovpp(g: PawnGame, c: Configuration) -> int:

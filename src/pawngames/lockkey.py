@@ -236,19 +236,19 @@ class PawnGameBuilder:
     def add_edge(self, u: int, v: int) -> None:
         self.edges.add((u, v))
 
-    def build(self, mechanism: Mechanism, vertex: int,
-              p1_pawns, grabs_left: int | None = None):
+    def build(self, vertex: int, p1_pawns):
+        """The optional-grabbing game and its start at ``vertex``."""
         game = PawnGame(
             n=len(self.names),
             edges=frozenset(self.edges),
             targets=frozenset(self.targets),
             d=self.num_pawns,
             owners=tuple(frozenset(s) for s in self.owners),
-            mechanism=mechanism,
+            mechanism=Mechanism.optional(),
             names=tuple(self.names),
             name=self.name,
         )
-        return game, Configuration(vertex, frozenset(p1_pawns), grabs_left)
+        return game, Configuration(vertex, frozenset(p1_pawns))
 
 
 def tb_to_optional(tb: TurnBasedGame, v0: int):
@@ -461,7 +461,7 @@ def lockkey_to_optional(lk: LockKeyGame, lc: LockConfig):
     p1 = {plain_pawn[v] for v in lk.p1_vertices}
     p1 |= {primed_pawn[v] for v in range(lk.n) if v not in lk.p1_vertices}
     p1 |= _gadget_state_pawns(reg, lc.closed)
-    return (*b.build(Mechanism.optional(), plain[lc.vertex], p1), emb)
+    return (*b.build(plain[lc.vertex], p1), emb)
 
 
 def to_always_grabbing(pg: PawnGame, c: Configuration):

@@ -4,8 +4,9 @@ configuration at once.
 
 Rooted queries (``solve_explicit``, ``expand_game``, ``witness_play``) are
 lazy.  The expansion has two kinds of vertices.  A *configuration* vertex
-carries the token position and Player 1's pawn set (plus the remaining grab
-count under k-grabbing); an *intermediate* vertex represents the pending
+carries the token position, Player 1's pawn set and the grabs left, which
+only k-grabbing reads (every other mechanism keeps 0, as its one sweep
+table does); an *intermediate* vertex represents the pending
 pawn exchange right after a token move.  Targets are exactly the
 configuration vertices whose token position is a target of the pawn game.
 States are materialized by forward reachability from the root, guarded by
@@ -66,8 +67,6 @@ from .turnbased import TurnBasedGame, attract
 
 # 64-bit words: at most ~400 MB of lazy states, or 64M swept configurations
 DEFAULT_BUDGET = 1_000_000
-
-_NO_R = -1
 
 
 def _owner_masks(g: PawnGame) -> list[int]:
@@ -271,12 +270,12 @@ def _expand(
 
     cindex: dict[int | None, int] = {}
     work: list[int] = []
-    span = g.mechanism.k + 2 if kgrab else 1
+    span = g.mechanism.k + 1 if kgrab else 1
 
     def key(v: int, pmask: int, r: int) -> int | None:
         # None for a hopeless vertex (the loss sink), else the projected key
         if v in hopeful:
-            return ((pmask & live[v]) * n + v) * span + r + 1
+            return ((pmask & live[v]) * n + v) * span + r
         return None
 
     sg = _StateGraph(live, lambda v, p, r: cindex[key(v, p, r)], budget,
@@ -343,8 +342,7 @@ def solve_explicit(
 ) -> ExplicitResult:
     """Decide the winner from ``c`` via the explicit configuration graph."""
     validate_configuration(g, c)
-    start = (c.vertex, _mask(c.p1_pawns),
-             c.grabs_left if c.grabs_left is not None else _NO_R)
+    start = (c.vertex, _mask(c.p1_pawns), c.grabs_left or 0)
     sg, roots = _expand(g, [start], budget, faithful=False)
     in_region, level = attract(sg.succ, sg.side, sg.target)
     winner = 1 if in_region[roots[0]] else 2
@@ -490,8 +488,8 @@ class ExactResult:
             dead = ~held & (held + 1)  # the lowest pawn in neither
             return live | dead if dead >> g.d == 0 else live
 
-        r = c.grabs_left if c.grabs_left is not None else _NO_R
-        return _play(g, (c.vertex, _mask(c.p1_pawns), r), lifted, allowed)
+        return _play(g, (c.vertex, _mask(c.p1_pawns), c.grabs_left or 0),
+                     lifted, allowed)
 
 
 def solve_exact(
@@ -633,15 +631,13 @@ class AllConfigurations:
         """The rank of the winner's play from a configuration: None outside
         Player 1's region, else the grabs left and the stamp of the change
         that first won the configuration in the sweep that decided it.
-        Stamps are read only when Player 1 wins; a grabs-left of
-        ``_NO_R`` reads the one table of the other mechanisms."""
+        Stamps are read only when Player 1 wins."""
         r = grabs_left or 0
         history = (self._history(r + 1)
                    if self.winner(v, p1_pawns, grabs_left) == 1 else None)
         tables = self._tables
 
         def rank(u: int, q: int, s: int):
-            s = max(s, 0)
             if not tables[s][u] >> q & 1:
                 return None
             if history is None:
@@ -812,7 +808,9 @@ def describe_state(g: PawnGame, state: tuple, states: list[tuple]) -> str:
         _, v, pmask, r = state
         pawns = ",".join(str(j) for j in sorted(_unmask(pmask)))
         core = f"c v={g.names[v]} p1={{{pawns}}}"
-        return core + (f" r={r}" if r != _NO_R else "")
+        if g.mechanism.rule is GrabRule.K_GRABBING:
+            core += f" r={r}"
+        return core
     _, u, parent = state
     return f"i to={g.names[u]} after[{describe_state(g, states[parent], states)}]"
 
@@ -822,9 +820,8 @@ def expand_game(
 ) -> ExpandedGame:
     """The unpruned reachable expansion from ``c`` with canonical vertex ids."""
     validate_configuration(g, c)
-    r = c.grabs_left if c.grabs_left is not None else _NO_R
-    sg, _ = _expand(g, [(c.vertex, _mask(c.p1_pawns), r)], budget,
-                    faithful=True)
+    sg, _ = _expand(g, [(c.vertex, _mask(c.p1_pawns), c.grabs_left or 0)],
+                    budget, faithful=True)
     descs = [describe_state(g, s, sg.states) for s in sg.states]
     order = sorted(range(len(sg)), key=lambda i: descs[i])
     canon = {old: new for new, old in enumerate(order)}

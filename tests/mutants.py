@@ -62,8 +62,12 @@ MUTANTS = [
     # _expand: target configurations expanded
     (ORACLE, "if faithful or not tgt:", "if True:", PINS),
     # _expand: no projection of dead pawn bits
-    (ORACLE, "return ((pmask & live[v]) * n + v) * span + r + 1",
-     "return (pmask * n + v) * span + r + 1", PINS),
+    (ORACLE, "return ((pmask & live[v]) * n + v) * span + r",
+     "return (pmask * n + v) * span + r", PINS),
+    # _expand: one key span for every grab budget, so k-grabbing
+    # configurations that differ only in grabs left share a state
+    (ORACLE, "span = g.mechanism.k + 1 if kgrab else 1", "span = 1",
+     [SWEEP]),
     # _expand: hopeless vertices not collapsed into the loss sink
     (ORACLE, "        if v in hopeful:\n            return (",
      "        if True:\n            return (", PINS),
@@ -146,6 +150,9 @@ MUTANTS = [
     # on one where the unrestricted witness does
     (ORACLE, "return live | dead if dead >> g.d == 0 else live",
      "return live", SWEPT),
+    # the search: a Player 2 node needs no round beyond its slowest reply
+    (SEARCH, "found = max(found, 1 + reply)", "found = max(found, reply)",
+     [PINNED_SEARCH]),
     # the search: the start's grab budget not clamped to d - |P|
     (SEARCH, "r = min(c.grabs_left, g.d - len(c.p1_pawns))",
      "r = c.grabs_left", [ANY_BUDGET]),
@@ -153,7 +160,9 @@ MUTANTS = [
     (LOCKKEY, "edges.add((v, sink) if v in tb.p1_vertices else (v, goal))",
      "edges.add((v, goal) if v in tb.p1_vertices else (v, sink))",
      ["tests/test_lockkey.py::"
-      "test_embedding_matches_turnbased_winner_on_random_games"]),
+      "test_embedding_matches_turnbased_winner_on_random_games",
+      "tests/test_lockkey.py::"
+      "test_embedding_matches_turnbased_winner_on_every_small_game"]),
     # the lock gadget: the w3 escape leads to the goal, not the sink
     (LOCKKEY, "(v3, vout), (v3, s)", "(v3, vout), (v3, t)",
      ["tests/test_lockkey.py::test_gadget_behavior_matches_the_lock_semantics"]),

@@ -205,5 +205,5 @@ def test_long_chain_labels_match_closed_form_in_linear_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert list(grabs.eta) == want
+    assert list(grabs) == want
     assert peak < 10 * 2**20

@@ -3,9 +3,12 @@ the lock/key gadgets and the always-grabbing padding."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from pawngames import (
+    AllConfigurations,
     Configuration,
     GrabRule,
     LockConfig,
@@ -31,8 +34,8 @@ from pawngames.generators import (
     gen_random_turnbased,
 )
 from pawngames.lockkey import GadgetRegistry, PawnGameBuilder
-from pawngames.oracle import _NO_R, _expand
-from pawngames.turnbased import attract
+from pawngames.oracle import _expand
+from pawngames.turnbased import TurnBasedGame, attract
 
 
 def chain_game(locks, keys, names=("a", "b", "t")):
@@ -138,6 +141,48 @@ def test_embedding_counts_and_trivial_start():
 
 def test_embedding_matches_turnbased_winner_on_random_games():
     assert suite_lemma41(seed=61, count=25) == []
+
+
+def _small_turnbased_games(max_n: int):
+    """Every dead-end-free turn-based game on 1..max_n vertices, once up to
+    vertex renaming.  Vertex ``v`` is ``(owned by Player 1, target, mask of
+    successors)``; a game is kept iff no renaming gives a smaller tuple."""
+    for n in range(1, max_n + 1):
+        kinds = [(p1, tgt, out) for p1 in (False, True)
+                 for tgt in (False, True) for out in range(1, 1 << n)]
+        renamings = list(itertools.permutations(range(n)))
+        for game in itertools.product(kinds, repeat=n):
+            def renamed(perm):
+                out = [None] * n
+                for v, (p1, tgt, succ) in enumerate(game):
+                    mask = sum(1 << perm[u] for u in range(n) if succ >> u & 1)
+                    out[perm[v]] = (p1, tgt, mask)
+                return tuple(out)
+            if any(renamed(perm) < game for perm in renamings):
+                continue
+            yield TurnBasedGame(
+                n=n,
+                p1_vertices=frozenset(v for v in range(n) if game[v][0]),
+                succ=tuple(tuple(u for u in range(n) if game[v][2] >> u & 1)
+                           for v in range(n)),
+                targets=frozenset(v for v in range(n) if game[v][1]),
+            )
+
+
+def test_embedding_matches_turnbased_winner_on_every_small_game():
+    # Lemma 4.1 at small scope: the embedding keeps the winner from every
+    # start of every game on at most 3 vertices
+    games = starts = 0
+    for tb in _small_turnbased_games(3):
+        region = solve_turnbased(tb).region
+        game, config = tb_to_optional(tb, 0)
+        oracle = AllConfigurations(game)
+        for v0 in range(tb.n):
+            want = 1 if v0 in region else 2
+            assert oracle.winner(v0, config.p1_pawns) == want, (tb, v0)
+            starts += 1
+        games += 1
+    assert (games, starts) == (3918, 11668)
 
 
 def test_lock_gadget_structure():
@@ -283,7 +328,7 @@ def test_compiled_atm_chain_matches_machine_acceptance():
         lk, lc = gen_atm_lockkey(atm, word)
         assert solve_lockkey(lk, lc) == want, f"machine {i}"
         game, config, _ = lockkey_to_optional(lk, lc)
-        root = (config.vertex, sum(1 << j for j in config.p1_pawns), _NO_R)
+        root = (config.vertex, sum(1 << j for j in config.p1_pawns), 0)
         try:
             sg, ids = _expand(game, [root], budget=100_000 * (game.d // 64 + 1),
                               faithful=False)

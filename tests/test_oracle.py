@@ -38,7 +38,7 @@ from pawngames.generators import (
     gen_random_turnbased,
 )
 from pawngames.lockkey import lockkey_to_optional
-from pawngames.oracle import _NO_R, _expand, _mask, _restrict, _unmask
+from pawngames.oracle import _expand, _mask, _restrict, _unmask
 from test_kgrab_ovpp import every_ovpp_game
 
 DATA = Path(__file__).parent / "data"
@@ -219,14 +219,14 @@ def _grab_budgets(game):
 def test_sweep_matches_the_unpruned_expansion_on_every_configuration():
     checked = 0
     for game in _sweep_games():
-        roots = [(v, p, _NO_R if r is None else r)
-                 for v in range(game.n) for p in range(1 << game.d)
-                 for r in _grab_budgets(game)]
-        sg, ids = _expand(game, roots, 10**6, faithful=True)
+        configs = [(v, p, r)
+                   for v in range(game.n) for p in range(1 << game.d)
+                   for r in _grab_budgets(game)]
+        sg, ids = _expand(game, [(v, p, r or 0) for v, p, r in configs],
+                          10**6, faithful=True)
         in_region, _ = attract(sg.succ, sg.side, sg.target)
         oracle = AllConfigurations(game)
-        for (v, p, r), sid in zip(roots, ids):
-            r = None if r == _NO_R else r
+        for (v, p, r), sid in zip(configs, ids):
             assert oracle.winner(v, _unmask(p), r) == (1 if in_region[sid] else 2), (
                 game.mechanism, game.owners, v, p, r)
             checked += 1
