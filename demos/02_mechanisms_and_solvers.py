@@ -55,10 +55,11 @@ labels = minimum_grabs(kgrab, frozenset())
 for v, name in enumerate(NAMES):
     print(f"grabs needed from {name}: {labels[v]}")
 
-# The bounded search solves the same game; its certificate is a play
-# against a delaying adversary, ranked by the rounds the search proved.
+# kgrab-dfs, the exact route for k-grabbing games of any ownership kind,
+# solves the same game; its certificate is a play against a delaying
+# adversary.
 result = solve_kgrab_dfs(kgrab, Configuration(0, frozenset(), 2))
-print("search winner with 2 grabs from hub:", result.winner)
+print("kgrab-dfs winner with 2 grabs from hub:", result.winner)
 print("certified play:", result.witness())
 
 # Always grabbing removes the option of declining an exchange.  Here the

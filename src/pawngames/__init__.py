@@ -3,7 +3,7 @@
 The package models pawn games (graphs whose vertex control transfers
 between two players through grabbing mechanisms), provides the explicit
 configuration-graph reference solver, three polynomial-time solvers for the
-tractable classes, a bounded search for k-grabbing games of any ownership
+tractable classes, the exact route for k-grabbing games of any ownership
 kind, Lock & Key games with their gadget compilation into grabbing games,
 and generators that embed SET-COVER, TQBF and alternating-machine
 acceptance into these games, each paired with a brute-force oracle.

@@ -54,11 +54,10 @@ def _read(path: str) -> bytes:
 
 
 def _specialized(game, config):
-    """Run the matching polynomial solver; None when there is none.
+    """Run the matching specialized solver; None when there is none.
 
-    Returns the algorithm name, the winner and the solver's own witness
-    walk, called only when a witness is printed (only the bounded search
-    has one, and it returns None unless Player 1 wins).
+    Returns the algorithm name, the winner and the exact route's result
+    when the solver ran one (only ``kgrab-dfs`` does), else None.
     """
     kind = classify(game)
     rule = game.mechanism.rule
@@ -71,7 +70,7 @@ def _specialized(game, config):
         return "eta", solve_kgrab_ovpp(game, config), None
     if rule is GrabRule.K_GRABBING:
         result = solve_kgrab_dfs(game, config)
-        return "kgrab-dfs", result.winner, result.witness
+        return "kgrab-dfs", result.winner, result.exact
     return None
 
 
@@ -88,7 +87,7 @@ def _print_witness(game, steps) -> None:
 def cmd_solve(args) -> int:
     game, config = parse_game(_read(args.file))
     t0 = time.monotonic()
-    algo = None
+    algo = exact = None
     states = game.n
     route = n = d = None
     witness_steps = None
@@ -98,9 +97,7 @@ def cmd_solve(args) -> int:
     if args.algo in ("auto", "specialized"):
         solved = _specialized(game, config)
         if solved is not None:
-            algo, winner, walk = solved
-            if witness and walk is not None:
-                witness_steps = walk()
+            algo, winner, exact = solved
         elif args.algo == "specialized":
             raise SolverPreconditionError(
                 f"no specialized solver for {classify(game).value} "
@@ -110,13 +107,14 @@ def cmd_solve(args) -> int:
         algo = "explicit"
         if args.algo == "auto":
             print("fallback: explicit", file=sys.stderr)
-    elif witness and witness_steps is None:
+    elif witness and exact is None:
         # the polynomial solvers return bare winners; replay the oracle
         print("witness: explicit oracle replay", file=sys.stderr)
-    if algo == "explicit" or (witness and witness_steps is None):
+    if exact is None and (algo == "explicit" or witness):
         exact = solve_exact(game, config, budget=args.budget)
         if algo == "explicit":
             winner = exact.winner
+    if exact is not None:
         states, route, n, d = exact.states, exact.route, exact.n, exact.d
         if witness:
             witness_steps = exact.witness()
@@ -131,7 +129,7 @@ def cmd_solve(args) -> int:
         }))
     else:
         print(f"winner: {winner}")
-    if witness and witness_steps is not None:
+    if witness_steps is not None:
         _print_witness(game, witness_steps)
     return 0
 

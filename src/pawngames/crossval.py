@@ -164,7 +164,8 @@ def suite_eta(seed: int, count: int) -> list[str]:
 
 
 def suite_dfs(seed: int, count: int) -> list[str]:
-    """Bounded search vs the oracle; witness validity."""
+    """``kgrab-dfs`` (the restricted exact route) vs the unrestricted
+    sweep; witness validity."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
@@ -180,8 +181,8 @@ def suite_dfs(seed: int, count: int) -> list[str]:
         want = oracle.winner(config.vertex, config.p1_pawns, config.grabs_left)
         if result.winner != want:
             failures.append(_counterexample(
-                game, config, f"search winner {result.winner}, oracle {want}"
-            ))
+                game, config,
+                f"kgrab-dfs winner {result.winner}, oracle {want}"))
         elif note := _search_witness_note(game, config, result):
             failures.append(_counterexample(game, config, note))
     return failures
@@ -189,7 +190,7 @@ def suite_dfs(seed: int, count: int) -> list[str]:
 
 def _search_witness_note(game: PawnGame, config: Configuration,
                          result: KGrabSearchResult) -> str | None:
-    """``check_play``'s note on the search's Player 1 witness, or on its
+    """``check_play``'s note on ``kgrab-dfs``'s Player 1 witness, or on its
     length past the paper's ``|V| * (k + 1)`` rounds; None if it holds or
     Player 2 wins."""
     if result.winner != 1:
@@ -421,8 +422,8 @@ def _subsets(p):
 
 
 def suite_setcover(seed: int, count: int) -> list[str]:
-    """Game winner iff a small cover exists, by search and by oracle;
-    the search's Player 1 witness is refereed."""
+    """Game winner iff a small cover exists, by ``kgrab-dfs`` and by
+    ``solve_explicit``; the Player 1 witness is refereed."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
@@ -455,8 +456,8 @@ def gen_random_qbf(seed: int) -> QbfSpec:
 
 
 def suite_tqbf(seed: int, count: int) -> list[str]:
-    """Game winner iff the formula is true, by search and by oracle; the
-    search's Player 1 witness is refereed."""
+    """Game winner iff the formula is true, by ``kgrab-dfs`` and by
+    ``solve_explicit``; the Player 1 witness is refereed."""
     failures = []
     for i in range(count):
         qbf = gen_random_qbf(seed * 100_003 + i)
@@ -467,16 +468,17 @@ def suite_tqbf(seed: int, count: int) -> list[str]:
 
 def _reduction_case(game: PawnGame, config: Configuration, holds: bool,
                     claim: str) -> list[str]:
-    """The failures of one reduced instance: Player 1 must win, by the
-    search and by ``solve_explicit``, iff the source instance ``holds``, and
-    the search's Player 1 witness must pass ``check_play``."""
+    """The failures of one reduced instance: Player 1 must win, by
+    ``kgrab-dfs`` (on the cone) and by ``solve_explicit`` (on the whole
+    game), iff the source instance ``holds``, and the Player 1 witness of
+    ``kgrab-dfs`` must pass ``check_play``."""
     want = 1 if holds else 2
     searched = solve_kgrab_dfs(game, config)
     checked = solve_explicit(game, config).winner
     if searched.winner != want or checked != want:
         return [_counterexample(
             game, config, f"{claim}={holds}, "
-            f"search {searched.winner}, oracle {checked}"
+            f"kgrab-dfs {searched.winner}, oracle {checked}"
         )]
     if note := _search_witness_note(game, config, searched):
         return [_counterexample(game, config, note)]

@@ -11,7 +11,9 @@ pawn exchange right after a token move.  Targets are exactly the
 configuration vertices whose token position is a target of the pawn game.
 States are materialized by forward reachability from the root, guarded by
 an explicit budget.  Exceeding the budget is an error, never a silent
-approximation.
+approximation.  Under k-grabbing the rooted expansion grabs just in time:
+only an owner of the vertex just entered, and only when Player 1 does not
+control it (see ``_expand``).
 
 ``AllConfigurations`` decides every configuration without building the
 graph: each vertex keeps one integer of ``2**d`` bits, one per pawn set,
@@ -31,8 +33,7 @@ configuration repeats.  The log lives as long as the ``AllConfigurations``
 that holds it, so a witness runs no second sweep.  On the whole
 ``tb(8,7)@0`` game (Python 3.11, tracemalloc) the sweep alone peaks at
 4.11 MB, against 3.69 MB with no log kept, and sweep plus witness at 4.11
-MB, against 4.66 MB with a second, logged sweep.  ``kgrab_dfs`` walks
-``_play`` too, ranked by the rounds its search proved, so ``_play`` is the
+MB, against 4.66 MB with a second, logged sweep.  ``_play`` is the
 package's one move picker.
 
 ``solve_exact`` is the one exact route for rooted queries.  It first
@@ -114,19 +115,20 @@ def _exchange_options(rule: GrabRule):
 class _StateGraph:
     """Interned expansion states with side, target and successor tables.
 
-    ``live[u]``: the pawns that may change hands after a move to ``u``;
-    ``lookup(v, p, r)``: the id of configuration ``(v, p, r)``'s state.
-    A state costs ``words`` as it is added, and one past ``budget`` words is
-    refused, so an exchange that offers one option per pawn stops there."""
+    ``allowed(u, p)``: the pawns that may change hands after a move to ``u``
+    from pawn mask ``p``; ``lookup(v, p, r)``: the id of configuration
+    ``(v, p, r)``'s state.  A state costs ``words`` as it is added, and one
+    past ``budget`` words is refused, so an exchange that offers one option
+    per pawn stops there."""
 
-    def __init__(self, live: list[int], lookup, budget: int, words: int):
+    def __init__(self, allowed, lookup, budget: int, words: int):
         self.budget = budget
         self.words = words
         self.states: list[tuple] = []
         self.side: list[int] = []
         self.target: list[bool] = []
         self.succ: list[list[int]] = []
-        self.live = live
+        self.allowed = allowed
         self.lookup = lookup
 
     def add(self, state: tuple, side: int, target: bool) -> int:
@@ -229,6 +231,13 @@ def _graph_reach_masks(g: PawnGame, hopeful: set[int],
     return live
 
 
+def _just_in_time(omask: list[int], live: list[int]):
+    """``allowed(u, p)`` for k-grabs made just in time (see ``_expand``):
+    none where pawn mask ``p`` holds an owner of ``u``, else each owner of
+    ``u`` in ``live[u]``."""
+    return lambda u, p: 0 if omask[u] & p else omask[u] & live[u]
+
+
 def _expand(
     g: PawnGame,
     roots: list[tuple[int, int, int]],
@@ -248,6 +257,20 @@ def _expand(
     projected away: exchanging such a pawn is equivalent to the
     always-available no-exchange move, so the quotient preserves every
     winner.
+
+    Under k-grabbing, unless ``faithful``, grabs are also made just in
+    time (``_just_in_time``).  Player 1 moves at a vertex when he holds any
+    pawn that owns it, and more pawns never hurt him, so a grab matters
+    only when the token enters a vertex he does not control.  After a move
+    to ``u`` the expansion offers no grab, and then, only if he controls
+    ``u`` with none of his pawns, a grab of each pawn owning ``u``.  This
+    loses no win: follow a winning strategy of the full game, and grab an
+    owner of ``u`` only when the strategy's pawn set controls ``u`` and the
+    held one does not.  The held set stays inside the strategy's, so it
+    spends no more grabs, the same player moves at every vertex, and the
+    play is the same.  It adds none either, since every option it offers
+    is one of the full game's.  The faithful expansion, the sweep and
+    ``AllConfigurations`` keep every grab, so they referee the rule.
     """
     words = g.d // 64 + 1  # of a pawn mask
     if words > budget:  # not even one state fits: report the 2**d pawn sets
@@ -267,6 +290,7 @@ def _expand(
         live = _graph_reach_masks(g, hopeful, omask)
     else:
         live = [full] * n
+    jit = _just_in_time(omask, live) if kgrab and not faithful else None
 
     cindex: dict[int | None, int] = {}
     work: list[int] = []
@@ -278,8 +302,8 @@ def _expand(
             return ((pmask & live[v]) * n + v) * span + r
         return None
 
-    sg = _StateGraph(live, lambda v, p, r: cindex[key(v, p, r)], budget,
-                     words)
+    sg = _StateGraph(jit or (lambda u, p: live[u]),
+                     lambda v, p, r: cindex[key(v, p, r)], budget, words)
     states = sg.states
     succ = sg.succ
 
@@ -310,7 +334,8 @@ def _expand(
             iid = sg.add(("i", u, sid), chooser, False)
             succ[sid].append(iid)
             out = succ[iid]
-            for q, s in exchange_options(pmask, r, chooser, live[u]):
+            allowed = live[u] if jit is None else jit(u, pmask)
+            for q, s in exchange_options(pmask, r, chooser, allowed):
                 out.append(config_id(u, q, s))
             if not out:
                 raise ValidationError(
@@ -460,19 +485,12 @@ class ExactResult:
         configuration of the cone: a take-back ties with the no-exchange
         option before it, and of the grabs the lowest comes first.  So the
         walk offers the live pawns and that one dead pawn, and never reads
-        the pawn ids that no kept vertex owns."""
+        the pawn ids that no kept vertex owns.  A lazy k-grabbing walk is
+        offered the slice's own just-in-time grabs instead: the owners of a
+        kept interior vertex are all live."""
         g, c, cone = self._game, self._config, self._cone
         if self.route == "lazy":
-            solved = self._solved
-
-            def rank(u: int, q: int, s: int):
-                # a k-grab of a pawn that is dead at u lands on a grab layer
-                # that the slice need not hold; the keep option beside it
-                # is held, and wins whenever the grab would
-                try:
-                    return solved.rank(u, q, s)
-                except KeyError:
-                    return None
+            rank = self._solved.rank
         else:
             h = cone.config
             rank = self._solved.ranker(h.vertex, h.p1_pawns, h.grabs_left)
@@ -487,6 +505,13 @@ class ExactResult:
             held = p | live
             dead = ~held & (held + 1)  # the lowest pawn in neither
             return live | dead if dead >> g.d == 0 else live
+
+        if self.route == "lazy" and g.mechanism.rule is GrabRule.K_GRABBING:
+            omask = _owner_masks(g)
+            goal = cone.game.n - 2  # the merged target
+            allowed = _just_in_time(omask, [
+                0 if w is None or w == goal else omask[u]
+                for u, w in enumerate(cone.vertex)])
 
         return _play(g, (c.vertex, _mask(c.p1_pawns), c.grabs_left or 0),
                      lifted, allowed)
@@ -777,9 +802,9 @@ def _play(g: PawnGame, start: tuple[int, int, int], rank,
 
 def witness_play(g: PawnGame, result: ExplicitResult) -> list[tuple]:
     """The winner's play from the solved configuration, ranked by attractor
-    level in the lazy slice; see ``_play``."""
-    live = result._sg.live
-    return _play(g, result._start, result.rank, lambda u, p: live[u])
+    level in the lazy slice and offered the slice's exchanges; see
+    ``_play``."""
+    return _play(g, result._start, result.rank, result._sg.allowed)
 
 
 def _exchange_step(g: PawnGame, moved_by: int, pmask: int, npmask: int):

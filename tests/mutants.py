@@ -26,7 +26,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/pawngames/oracle.py"
 REFEREE = "src/pawngames/crossval.py"
-SEARCH = "src/pawngames/kgrab_dfs.py"
 LOCKKEY = "src/pawngames/lockkey.py"
 SWEEP = "tests/test_oracle.py::test_rooted_lazy_path_matches_the_sweep"
 PLANTED = "tests/test_witness.py::test_referee_rejects_every_planted_fault"
@@ -39,21 +38,18 @@ WITNESSES = [
     "tests/test_exact_property.py",
 ]
 SWEPT = ["tests/test_witness.py::test_swept_witnesses_are_pinned"]
-PINNED_SEARCH = "tests/test_kgrab_dfs.py::test_search_winners_are_pinned"
-SEARCH_WORK = [
-    PINNED_SEARCH,
-    "tests/test_kgrab_dfs.py::"
-    "test_search_work_on_a_set_cover_instance_is_pinned",
-]
-SMALL_SEARCH = ("tests/test_kgrab_dfs.py::"
-                "test_search_matches_the_sweep_on_every_small_game")
+NINE = ("tests/test_kgrab_dfs.py::"
+        "test_a_nine_variable_formula_game_matches_its_truth")
+JIT_WORK = [NINE, "tests/test_kgrab_dfs.py::"
+            "test_search_work_on_a_set_cover_instance_is_pinned"]
+SMALL_KGRAB = ("tests/test_kgrab_dfs.py::"
+               "test_search_matches_the_sweep_on_every_small_game")
 RESTRICTED = [
     "tests/test_oracle.py::"
     "test_restriction_matches_the_full_sweep_on_every_small_game",
     "tests/test_exact_property.py::"
     "test_restricted_route_matches_the_unrestricted_sweep",
 ]
-ANY_BUDGET = "tests/test_cli.py::test_search_answers_at_any_grab_budget"
 
 MUTANTS = [
     # _expand: the intermediate's chooser taken as the mover
@@ -118,24 +114,32 @@ MUTANTS = [
     # check_play: a cycle that closes on no earlier configuration accepted
     (REFEREE, "if (v, frozenset(pawns), grabs) not in earlier:", "if False:",
      [PLANTED]),
-    # the search's witness: targets ranked outside Player 1's region
-    (SEARCH, "return 0 if u in g.targets else",
-     "return None if u in g.targets else", [PINNED_SEARCH]),
-    # the search: one grab more than the budget allows
-    (SEARCH, "if r > 0 and not self.omask[u] & pmask:",
-     "if r >= 0 and not self.omask[u] & pmask:", [PINNED_SEARCH]),
-    # the search: a grab offered even where Player 1 controls the vertex
-    # just entered; no winner changes, only the work
-    (SEARCH, "if r > 0 and not self.omask[u] & pmask:", "if r > 0:",
-     SEARCH_WORK),
-    # the search: any pawn offered as a grab, not only the vertex's owners;
-    # no winner changes, only the work
-    (SEARCH, "grab_order = [sorted(owners) for owners in g.owners]",
-     "grab_order = [list(range(g.d)) for owners in g.owners]", SEARCH_WORK),
-    # the search: a grab offered only where Player 1 already controls the
-    # vertex just entered
-    (SEARCH, "if r > 0 and not self.omask[u] & pmask:",
-     "if r > 0 and self.omask[u] & pmask:", [SMALL_SEARCH]),
+    # just-in-time grabs: a grab offered even where Player 1 controls the
+    # vertex just entered; no winner changes, only the lazy states
+    (ORACLE, "return lambda u, p: 0 if omask[u] & p else omask[u] & live[u]",
+     "return lambda u, p: omask[u] & live[u]", JIT_WORK),
+    # just-in-time grabs: any live pawn offered, not only the vertex's
+    # owners; no winner changes, only the lazy states
+    (ORACLE, "return lambda u, p: 0 if omask[u] & p else omask[u] & live[u]",
+     "return lambda u, p: 0 if omask[u] & p else live[u]", JIT_WORK),
+    # just-in-time grabs: a grab offered only where Player 1 already
+    # controls the vertex just entered
+    (ORACLE, "return lambda u, p: 0 if omask[u] & p else omask[u] & live[u]",
+     "return lambda u, p: omask[u] & live[u] if omask[u] & p else 0",
+     [SMALL_KGRAB]),
+    # witness_play: the lazy k-grabbing walk offered every live pawn, not
+    # the expansion's just-in-time grabs
+    (ORACLE, "sg = _StateGraph(jit or (lambda u, p: live[u]),",
+     "sg = _StateGraph(lambda u, p: live[u],", JIT_WORK),
+    # the cone's lazy k-grabbing witness offered the sweep walk's pawns,
+    # not the expansion's just-in-time grabs
+    (ORACLE, 'if self.route == "lazy" and g.mechanism.rule is',
+     'if False and g.mechanism.rule is', [NINE]),
+    # the cone's lazy k-grabbing witness offered grabs on a target
+    (ORACLE, "0 if w is None or w == goal else omask[u]",
+     "0 if w is None else omask[u]",
+     ["tests/test_kgrab_dfs.py::"
+      "test_the_lazy_witness_grabs_no_owner_of_a_target"]),
     # the cone: pawns projected under always-grabbing and grab-or-give
     (ORACLE, "if c.vertex in targets or g.mechanism.rule in (",
      "if True or g.mechanism.rule in (", RESTRICTED),
@@ -150,12 +154,6 @@ MUTANTS = [
     # on one where the unrestricted witness does
     (ORACLE, "return live | dead if dead >> g.d == 0 else live",
      "return live", SWEPT),
-    # the search: a Player 2 node needs no round beyond its slowest reply
-    (SEARCH, "found = max(found, 1 + reply)", "found = max(found, reply)",
-     [PINNED_SEARCH]),
-    # the search: the start's grab budget not clamped to d - |P|
-    (SEARCH, "r = min(c.grabs_left, g.d - len(c.p1_pawns))",
-     "r = c.grabs_left", [ANY_BUDGET]),
     # tb_to_optional: each player's escape edge leads to the other's goal
     (LOCKKEY, "edges.add((v, sink) if v in tb.p1_vertices else (v, goal))",
      "edges.add((v, goal) if v in tb.p1_vertices else (v, sink))",

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pawngames
-from pawngames import kgrab_dfs, oracle
+from pawngames import oracle
 from pawngames.cli import main
 from pawngames.crossval import check_play
 from pawngames.gamefile import parse_game, serialize_game
@@ -117,8 +117,7 @@ def test_json_witness_reads_no_witness(capsys, monkeypatch, tmp_path):
     def no_play(*_):
         raise AssertionError("a JSON answer walked a witness")
 
-    for module in (oracle, kgrab_dfs):
-        monkeypatch.setattr(module, "_play", no_play)
+    monkeypatch.setattr(oracle, "_play", no_play)
     # JSON prints no witness, so a polynomial answer replays no exact route
     code, out, err = run(capsys, "solve", G1, "--json", "--witness")
     payload = json.loads(out)
@@ -131,7 +130,8 @@ def test_json_witness_reads_no_witness(capsys, monkeypatch, tmp_path):
     payload = json.loads(out)
     assert (code, payload["winner"], payload["stats"]["route"]) == (
         0, 1, "sweep")
-    # the bounded search's witness is a walk too, and JSON reads none
+    # kgrab-dfs runs the exact route, whose witness is a walk too, and
+    # JSON reads none
     code, out, err = run(capsys, "solve", str(setcover_file(capsys, tmp_path)),
                          "--json", "--witness")
     payload = json.loads(out)
@@ -486,13 +486,14 @@ def test_huge_witness_reads_only_the_cone_pawns(capsys, tmp_path, mechanism,
 
 @pytest.mark.parametrize("argv, says", [
     (["solve"], "winner: 1\n"),
-    (["solve", "--witness"], "winner: 1\nmove v\ngrab 0\nmove t\nnograb\n"),
+    (["solve", "--witness"], "winner: 1\nmove v\ngrab 0\nmove t\ngrab 1\n"),
     (["solve", "--json"], None),
 ], ids=["solve", "solve-witness", "solve-json"])
 def test_search_grabs_only_owners_whatever_the_pawn_count(capsys, tmp_path,
                                                           argv, says):
-    # the search offers a grab only of an owner of the vertex just entered,
-    # so none of its options lists the 100000000 pawns
+    # kgrab-dfs sweeps the cone of v, which keeps pawn 0 alone, and its
+    # witness offers pawn 0 and the lowest dead pawn, so none of its
+    # options lists the 100000000 pawns
     path = tmp_path / "huge.pawngame"
     path.write_text(HUGE_FROM_V.format("k-grabbing 2", "t", " grabs-left=2"))
     t0 = time.monotonic()
@@ -505,10 +506,51 @@ def test_search_grabs_only_owners_whatever_the_pawn_count(capsys, tmp_path,
         assert (code, out) == (0, says)
 
 
+def chain_file(tmp_path):
+    """A 1,200-vertex many-vertex-per-pawn k-grabbing chain with 6 pawns
+    and k = 1, as a file: Player 1 holds the owners of the escapes c0 and
+    c2, and grabs the owner of c3 on the way."""
+    n = 1200
+    lines = ["pawngame dfschain", "mechanism k-grabbing 1", "pawns 6"]
+    lines += [f"vertex c{i} owners={i % 6}" for i in range(n)]
+    lines += ["vertex t owners=0 target", "vertex s owners=1"]
+    lines += [f"edge c{i} " + (f"c{i + 1}" if i + 1 < n else "t")
+              for i in range(n)]
+    lines += [f"edge c{i} s" for i in (0, 2, 3)]
+    lines += ["edge t t", "edge s s",
+              "init vertex=c0 p1pawns=0,2 grabs-left=1"]
+    path = tmp_path / "chain.pawngame"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_long_kgrab_chain_answers(capsys, tmp_path):
+    # a search that recursed once per round raised RecursionError here
+    code, out, _ = run(capsys, "solve", str(chain_file(tmp_path)))
+    assert (code, out) == (0, "winner: 1\n")
+
+
+def test_kgrab_json_reports_the_exact_route(capsys, tmp_path):
+    # kgrab-dfs answers by the exact route, so its stats are the route's
+    path = setcover_file(capsys, tmp_path)
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert (code, payload["winner"], payload["algo"]) == (0, 1, "kgrab-dfs")
+    code, out, _ = run(capsys, "solve", str(path), "--algo", "explicit",
+                       "--json")
+    explicit = json.loads(out)["stats"]
+    del explicit["time-ms"], payload["stats"]["time-ms"]
+    assert payload["stats"] == explicit
+    # the cone keeps 8 interior vertices, the merged target, the sink and
+    # all 4 pawns, swept at 3 grab budgets
+    assert (explicit["route"], explicit["states"], explicit["n"],
+            explicit["d"]) == ("sweep", 10 * 2**4 * 3, 10, 4)
+
+
 @pytest.mark.parametrize("k", [250, 10**6])
 def test_search_answers_at_any_grab_budget(capsys, tmp_path, k):
-    # each grab takes a pawn that Player 1 lacks, so from no pawn of 3 the
-    # search uses at most 3 grabs of k; it once recursed n * (k + 1) deep
+    # each grab takes a pawn that Player 1 lacks, so from no pawn of 3 at
+    # most 3 grabs of k are used; a search once recursed n * (k + 1) deep
     path = tmp_path / "four.pawngame"
     path.write_text(
         f"pawngame four\nmechanism k-grabbing {k}\npawns 3\n"

@@ -1,4 +1,4 @@
-"""Bounded AND-OR search for k-grabbing games of any ownership kind."""
+"""k-grabbing games of any ownership kind, decided by the exact route."""
 
 from __future__ import annotations
 
@@ -19,8 +19,22 @@ from pawngames import (
 )
 from pawngames.crossval import check_play, suite_dfs
 from pawngames.gamefile import parse_game
-from pawngames.generators import gen_random_pawngame, gen_setcover, set_cover_exists
-from pawngames.oracle import AllConfigurations
+from pawngames.generators import (
+    gen_random_pawngame,
+    gen_setcover,
+    gen_tqbf,
+    parse_qbf,
+    qbf_eval,
+    set_cover_exists,
+)
+from pawngames.oracle import (
+    DEFAULT_BUDGET,
+    AllConfigurations,
+    _expand,
+    _mask,
+    witness_play,
+)
+from pawngames.turnbased import attract
 
 FIG5_SETS = [frozenset({1}), frozenset({1, 2}), frozenset({2, 3})]
 
@@ -81,12 +95,26 @@ def test_the_witness_plays_against_a_delaying_adversary():
                                 ("move", t), ("nograb",)]
 
 
+def test_the_lazy_witness_grabs_no_owner_of_a_target():
+    # 25 pawns own v, too many for the cone's sweep; the lazy slice holds
+    # the target only at the grab budget it is entered with, so the walk
+    # offers no grab there
+    owners = ",".join(map(str, range(25)))
+    game, config = parse_game(
+        "pawngame wide\nmechanism k-grabbing 1\npawns 26\n"
+        f"vertex v owners={owners}\nvertex t owners=25 target\n"
+        "vertex s owners=25\nedge v t\nedge v s\nedge t t\nedge s s\n"
+        "init vertex=v p1pawns=0 grabs-left=1\n")
+    result = solve_kgrab_dfs(game, config)
+    assert (result.winner, result.exact.route) == (1, "lazy")
+    assert result.witness() == [("move", game.names.index("t")), ("nograb",)]
+
+
 def test_search_winners_are_pinned():
-    # sha256 of the winners on 3,000 seeded games, computed before the
-    # witness walk moved to the oracle's play; every Player 1 witness is
-    # refereed and stays within the paper's |V| * (k + 1) rounds.  The
-    # nodes pin the search's work, which a wasted grab option changes and
-    # the winners do not
+    # sha256 of the winners on 3,000 seeded games, computed when a bounded
+    # AND-OR search decided them; every Player 1 witness is refereed and
+    # stays within the paper's |V| * (k + 1) rounds.  The nodes pin the
+    # exact route's summed states
     rng = random.Random(2025)
     digest = hashlib.sha256()
     nodes = 0
@@ -104,20 +132,26 @@ def test_search_winners_are_pinned():
             assert rounds <= game.n * (config.grabs_left + 1), i
     assert digest.hexdigest() == (
         "0bd466ce1b129868ba2625cfffb7acdb15eb8ef111d94f51a011ef0413ec57c2")
-    assert nodes == 34655
+    assert nodes == 180796
 
 
 def test_search_work_on_a_set_cover_instance_is_pinned():
     # 12 elements, 11 sets of density 0.3 and 4 grabs, as in the benchmark's
-    # heaviest set-cover jobs, where a wasted grab option costs the most
+    # heaviest set-cover jobs: the cone's 65 vertices and 12 pawns are swept
+    # at every grab budget, and the lazy route, where a wasted grab option
+    # costs the most, grabs just in time (67,329 states with every grab)
     rng = random.Random(4)
     sets = [frozenset(e for e in range(1, 13) if rng.random() < 0.3)
             or frozenset({rng.randint(1, 12)}) for _ in range(11)]
     game, config = gen_setcover(12, sets, 4)
     assert set_cover_exists(12, sets, 4)
     result = solve_kgrab_dfs(game, config)
-    assert (result.winner, result.nodes) == (1, 28248)
+    assert (result.winner, result.exact.route, result.nodes) == (
+        1, "sweep", 65 * 2**12 * 5)
     assert check_play(game, config, result.witness(), 1) is None
+    lazy = solve_explicit(game, config)
+    assert (lazy.winner, lazy.num_states) == (1, 31079)
+    assert check_play(game, config, witness_play(game, lazy), 1) is None
 
 
 def every_small_kgrab_game(n, d):
@@ -153,19 +187,46 @@ def every_small_kgrab_game(n, d):
 
 def test_search_matches_the_sweep_on_every_small_game():
     # every MVPP and OMVPP k-grabbing game on 3 vertices and 1 or 2 pawns,
-    # at every configuration: the search grabs just in time, the sweep
-    # offers every grab
+    # at every configuration: the lazy expansion from all of them at once
+    # grabs just in time, the sweep offers every grab
     games = checked = 0
     for d in (1, 2):
         pawn_sets = [frozenset(s) for size in range(d + 1)
                      for s in itertools.combinations(range(d), size)]
+        configs = list(itertools.product(range(3), pawn_sets, range(d + 1)))
         for game in every_small_kgrab_game(3, d):
             games += 1
             full = AllConfigurations(game)
-            for v, pawns, r in itertools.product(range(3), pawn_sets,
-                                                 range(d + 1)):
-                got = solve_kgrab_dfs(game, Configuration(v, pawns, r)).winner
+            sg, roots = _expand(game, [(v, _mask(pawns), r)
+                                       for v, pawns, r in configs],
+                                DEFAULT_BUDGET, faithful=False)
+            in_region, _ = attract(sg.succ, sg.side, sg.target)
+            for (v, pawns, r), root in zip(configs, roots):
+                got = 1 if in_region[root] else 2
                 assert got == full.winner(v, pawns, r), (game, v, pawns, r)
                 checked += 1
     # per game: 3 vertices, 2^d pawn sets and d + 1 grab budgets
     assert (games, checked) == (434 + 11095, 434 * 12 + 11095 * 36)
+
+
+NINE = ("Ex1.Ax2.Ex3.Ex4.Ex5.Ax6.Ex7.Ex8.Ex9.(~x5|~x7|~x9)&(~x2|x8|~x9)"
+        "&(x1|~x7)&(x1)&(~x5)&(~x3|x7)&(x1|~x4|~x5)&(x1|~x4|x9)&(x4|~x8)")
+
+
+@pytest.mark.parametrize("formula", [NINE, "A" + NINE[1:]],
+                         ids=["true", "false"])
+def test_a_nine_variable_formula_game_matches_its_truth(formula):
+    # 9 variables put the cone's sweep past the budget; the lazy route's
+    # just-in-time grabs decide it, where the bounded AND-OR search that
+    # kgrab-dfs once ran expanded 3.6 and 14.6 million nodes
+    qbf = parse_qbf(formula)
+    game, config = gen_tqbf(qbf)
+    result = solve_kgrab_dfs(game, config)
+    # offering grabs also where Player 1 controls the vertex gives 140,444
+    assert (result.exact.route, result.nodes) == ("lazy", 122090)
+    assert result.winner == (1 if qbf_eval(qbf) else 2)
+    if result.winner == 1:
+        steps = result.witness()
+        assert check_play(game, config, steps, 1) is None
+        rounds = sum(step[0] == "move" for step in steps)
+        assert rounds <= game.n * (config.grabs_left + 1)
